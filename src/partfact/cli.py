@@ -3,7 +3,8 @@
 Reads a JSON analysis document (finite code or regex), dispatches to the
 library, and prints a human-readable table or a machine-readable JSON
 report. Exit codes: 0 success, 1 false verdict under ``--quiet``,
-2 malformed input, 3 state-cap exceeded, 4 precondition violation.
+2 malformed input, 3 state-cap exceeded, 4 precondition violation,
+5 internal error.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ EXIT_FALSE = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_PRIME_RELATION_BOUND = 12
 
@@ -465,6 +467,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return path, run_document(args.command, text, args), EXIT_OK
         except PartfactError as e:
             return path, {"command": args.command, "error": str(e)}, _error_exit(e)
+        except Exception as e:  # a defect must not read as a verdict or stop the batch
+            return path, {"command": args.command, "error": f"internal error: {e}"}, EXIT_INTERNAL
 
     if args.jobs > 1 and len(sources) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:

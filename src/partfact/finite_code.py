@@ -15,6 +15,7 @@ from collections import defaultdict, deque
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AlphabetMismatchError, InputError, PreconditionError
+from .fsa import _reachable
 from .words import Alphabet, Word
 
 
@@ -310,21 +311,7 @@ class _SuffixGraph:
         for src, dst, _ann in full_arcs:
             fwd[src].append(dst)
             bwd[dst].append(src)
-
-        def closure(seed, edges):
-            seen = {seed}
-            stack = [seed]
-            while stack:
-                p = stack.pop()
-                for q in edges[p]:
-                    if q not in seen:
-                        seen.add(q)
-                        stack.append(q)
-            return seen
-
-        reachable = closure(self.source, fwd)
-        coreachable = closure(self.term, bwd)
-        useful = reachable & coreachable
+        useful = _reachable((self.source,), fwd) & _reachable((self.term,), bwd)
         self.has_relation = self.term in useful
         self.arcs = [a for a in full_arcs if a[0] in useful and a[1] in useful]
         self.nodes = useful
@@ -340,64 +327,33 @@ class _SuffixGraph:
         overhang = self._word_len[ann[0]] - self._residual_len[src]
         return max(0, overhang)
 
-    def min_relation_length(self) -> Optional[int]:
-        return self._dijkstra()
-
-    def min_witness_length(self, u: str, v: str) -> Optional[int]:
-        """Length of the shortest prime-relation message consuming both
-        u and v; None when they never co-occur."""
-        targets = (u, v)
-
-        def mask_of(ann):
-            m = 0
-            if u in ann:
-                m |= 1
-            if v in ann:
-                m |= 2
-            return m
-
+    def min_message_length(self, targets: Sequence[str] = ()) -> Optional[int]:
+        """Length of the shortest prime-relation message consuming every
+        target word; None when there is none. Dijkstra over (node, set of
+        targets consumed so far)."""
         if not self.has_relation:
             return None
-        dist: dict[tuple[int, int], int] = {(self.source, 0): 0}
-        heap = [(0, self.source, 0)]
+        full = (1 << len(targets)) - 1
         out = defaultdict(list)
         for src, dst, ann in self.arcs:
-            out[src].append((dst, ann))
+            bits = sum(1 << i for i, t in enumerate(targets) if t in ann)
+            out[src].append((dst, ann, bits))
+        dist = {(self.source, 0): 0}
+        heap = [(0, self.source, 0)]
         while heap:
             d, node, mask = heapq.heappop(heap)
-            if dist.get((node, mask), None) != d:
+            if dist[(node, mask)] != d:
                 continue
-            if node == self.term and mask == 3:
-                return d
             if node == self.term:
+                if mask == full:
+                    return d
                 continue
-            for dst, ann in out[node]:
+            for dst, ann, bits in out[node]:
                 nd = d + self._arc_weight(node, dst, ann)
-                nm = mask | mask_of(ann)
+                nm = mask | bits
                 if nd < dist.get((dst, nm), float("inf")):
                     dist[(dst, nm)] = nd
                     heapq.heappush(heap, (nd, dst, nm))
-        return None
-
-    def _dijkstra(self) -> Optional[int]:
-        if not self.has_relation:
-            return None
-        out = defaultdict(list)
-        for src, dst, ann in self.arcs:
-            out[src].append((dst, ann))
-        dist = {self.source: 0}
-        heap = [(0, self.source)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if dist.get(node) != d:
-                continue
-            if node == self.term:
-                return d
-            for dst, ann in out[node]:
-                nd = d + self._arc_weight(node, dst, ann)
-                if nd < dist.get(dst, float("inf")):
-                    dist[dst] = nd
-                    heapq.heappush(heap, (nd, dst))
         return None
 
     def cooccurring_text_pairs(self) -> set[tuple[str, str]]:
@@ -411,16 +367,8 @@ class _SuffixGraph:
         # Reflexive-transitive reachability as bitmasks.
         reach = {}
         for n in nodes:
-            seen = {n}
-            stack = [n]
-            while stack:
-                p = stack.pop()
-                for q in fwd[p]:
-                    if q not in seen:
-                        seen.add(q)
-                        stack.append(q)
             mask = 0
-            for q in seen:
+            for q in _reachable((n,), fwd):
                 mask |= 1 << index[q]
             reach[n] = mask
 
@@ -467,7 +415,7 @@ def sp_is_ud(x: FiniteCode) -> tuple[bool, Optional[PrimeRelation]]:
     graph = _SuffixGraph(x)
     if not graph.has_relation:
         return True, None
-    bound = graph.min_relation_length()
+    bound = graph.min_message_length()
     relations = enumerate_prime_relations(x, bound)
     return False, relations[0]
 
@@ -545,7 +493,7 @@ def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]
     words, or None when the pair never co-occurs. Audit helper for the
     exactness of :func:`characteristic_partition`."""
     _require_nonempty(x)
-    return _SuffixGraph(x).min_witness_length(u.text, v.text)
+    return _SuffixGraph(x).min_message_length((u.text, v.text))
 
 
 def characteristic_partition(x: FiniteCode) -> Partition:
@@ -622,136 +570,46 @@ def p_factorize(w: Word, p: Partition) -> PFactorization:
             for t in texts:
                 if text.startswith(t, i):
                     one[i].append(i + len(t))
-        ends = {}
-        for i in range(n):
-            seen = set()
-            stack = list(one[i])
-            while stack:
-                j = stack.pop()
-                if j in seen:
-                    continue
-                seen.add(j)
-                stack.extend(one[j])
-            ends[i] = sorted(seen)
-        block_ends.append(ends)
+        block_ends.append({i: sorted(_reachable(one[i], one)) for i in range(n)})
 
-    memo: dict[tuple[int, int], Optional[tuple]] = {}
-
-    def parse(i: int, prev: int) -> Optional[tuple]:
-        if i == n:
-            return ()
-        key = (i, prev)
-        if key in memo:
-            return memo[key]
-        result = None
+    def parse(i: int, prev: int):
+        # The first block (k, j) of a parse of text[i:] whose class k is not
+        # prev; None when there is none. Each yield asks for the parse of
+        # the rest text[j:] after block (j, k) and receives it.
         for k in range(len(p.classes)):
-            if k == prev:
-                continue
-            for j in block_ends[k][i]:
-                rest = parse(j, k)
-                if rest is not None:
-                    result = ((k, text[i:j]),) + rest
-                    break
-            if result is not None:
-                break
-        memo[key] = result
-        return result
+            if k != prev:
+                for j in block_ends[k][i]:
+                    if j == n or (yield (j, k)) is not None:
+                        return k, j
+        return None
 
-    blocks = parse(0, -1)
-    if blocks is None:
-        raise PreconditionError(f"{text!r} is not a message of this code")
-    return PFactorization(w, tuple((k, w.alphabet.word(b)) for k, b in blocks))
-
-
-def brute_force_oracle(x: FiniteCode, max_message_len: int) -> tuple[bool, set[tuple[Word, Word]]]:
-    """Independent bounded oracle used to cross-check the exact analyses.
-
-    Enumerates every message of the code up to the length bound together
-    with its factorization count (so the UD verdict is a plain counting
-    argument), then for each ambiguous message enumerates the pairs of
-    factorizations with no shared intermediate prefix product, re-checks
-    the primality condition explicitly, and collects the unordered pairs
-    of distinct code words occurring in those prime relations. Any
-    ambiguity within the bound is reported: a shortest ambiguous message
-    always carries a prime relation, and non-prime relations contribute
-    no merges beyond those of their prime segments.
-    """
-    _require_nonempty(x)
-    if max_message_len < 1:
-        raise PreconditionError("the message length bound must be at least 1")
-    strs = sorted({w.text for w in x.words})
-
-    by_len: list[dict[str, int]] = [dict() for _ in range(max_message_len + 1)]
-    by_len[0][""] = 1
-    for length in range(max_message_len):
-        for m, c in by_len[length].items():
-            for w in strs:
-                l2 = length + len(w)
-                if l2 <= max_message_len:
-                    layer = by_len[l2]
-                    m2 = m + w
-                    layer[m2] = layer.get(m2, 0) + c
-
-    ud = True
-    ambiguous = []
-    for length in range(1, max_message_len + 1):
-        for m, c in by_len[length].items():
-            if c >= 2:
-                ud = False
-                ambiguous.append(m)
-
-    merge_texts: set[tuple[str, str]] = set()
-    for m in ambiguous:
-        for parts_a, parts_b in _prime_pairs_of_message(m, strs):
-            cuts_a = _cuts(parts_a)
-            cuts_b = _cuts(parts_b)
-            if cuts_a & cuts_b:  # defensive: primality re-check
-                continue
-            support = sorted(set(parts_a) | set(parts_b))
-            for i, u in enumerate(support):
-                for v in support[i + 1:]:
-                    merge_texts.add((u, v))
-
-    merges = set()
-    for u, v in merge_texts:
-        wu, wv = x.alphabet.word(u), x.alphabet.word(v)
-        merges.add((wu, wv) if wu < wv else (wv, wu))
-    return ud, merges
-
-
-def _cuts(parts: Sequence[str]) -> frozenset[int]:
-    out = set()
-    pos = 0
-    for p in parts[:-1]:
-        pos += len(p)
-        out.add(pos)
-    return frozenset(out)
-
-
-def _prime_pairs_of_message(m: str, strs: Sequence[str]):
-    """Pairs of factorizations of one message whose interior cut sets are
-    disjoint (candidate prime relations)."""
-    n = len(m)
-    pairs = []
-
-    def go(i: int, j: int, behind: tuple[str, ...], ahead: tuple[str, ...]):
-        for w in strs:
-            k = i + len(w)
-            if k > n or not m.startswith(w, i):
-                continue
-            if k < j:
-                go(k, j, behind + (w,), ahead)
-            elif k == j:
-                if k == n:
-                    pairs.append((behind + (w,), ahead))
-                # interior coincidence: not prime, prune
-            else:
-                go(j, k, ahead, behind + (w,))
-
-    for w1 in strs:
-        if not m.startswith(w1):
+    # Depth-first over the states (i, prev), memoized in `first`, on an
+    # explicit stack of suspended parses so that no recursion depth grows
+    # with the number of blocks.
+    first: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+    frames = [((0, -1), parse(0, -1))]
+    reply = None
+    while frames:
+        key, search = frames[-1]
+        try:
+            rest = search.send(reply)
+        except StopIteration as stop:
+            first[key] = reply = stop.value
+            frames.pop()
             continue
-        for w2 in strs:
-            if w2 != w1 and len(w1) < len(w2) and m.startswith(w2):
-                go(len(w1), len(w2), (w1,), (w2,))
-    return pairs
+        if rest in first:
+            reply = first[rest]
+        else:
+            frames.append((rest, parse(*rest)))
+            reply = None
+
+    if first[(0, -1)] is None:
+        raise PreconditionError(f"{text!r} is not a message of this code")
+    blocks = []
+    i, prev = 0, -1
+    while i < n:
+        k, j = first[(i, prev)]
+        blocks.append((k, w.alphabet.word(text[i:j])))
+        i, prev = j, k
+    return PFactorization(w, blocks)
+

@@ -96,16 +96,6 @@ class Fsa:
             object.__setattr__(self, "_adj", adj)
         return self._adj
 
-    def is_deterministic(self) -> bool:
-        if len(self.initial) != 1:
-            return False
-        seen = set()
-        for p, a, q in self.transitions:
-            if a is None or (p, a) in seen:
-                return False
-            seen.add((p, a))
-        return True
-
     def __repr__(self) -> str:
         return (
             f"Fsa(states={self.n_states}, transitions={len(self.transitions)}, "
@@ -168,34 +158,110 @@ def full_language_fsa(alphabet: Alphabet) -> Fsa:
 
 
 # ---------------------------------------------------------------------------
-# Simulation and structural cleanup
+# Graph traversals shared by the automaton and finite-code layers. They
+# keep their own stacks, so no recursion depth grows with the input.
 
 
-def _epsilon_closure(f: Fsa, states: Iterable[int]) -> frozenset[int]:
-    adj = f.adjacency()
-    seen = set(states)
-    stack = list(seen)
+def _reachable(seeds: Iterable, succ) -> set:
+    """The seeds and every node reachable from them; ``succ[p]`` lists
+    the successors of ``p``."""
+    seen = set()
+    stack = list(seeds)
     while stack:
         p = stack.pop()
-        for a, q in adj[p]:
-            if a is None and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return frozenset(seen)
+        if p not in seen:
+            seen.add(p)
+            stack.extend(succ[p])
+    return seen
+
+
+def _postorder(roots: Iterable, succ) -> tuple[Optional[list], Optional[object]]:
+    """Depth-first search from each unvisited root in turn, successors in
+    ``succ[p]`` order. Returns ``(post-order, None)``, or ``(None, q)``
+    for the first node ``q`` found to lie on a cycle."""
+    done: dict = {}  # node -> False while on the stack, True once finished
+    order = []
+    for root in roots:
+        if root in done:
+            continue
+        done[root] = False
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            p, it = stack[-1]
+            for q in it:
+                if q not in done:
+                    done[q] = False
+                    stack.append((q, iter(succ[q])))
+                    break
+                if not done[q]:
+                    return None, q
+            else:
+                done[p] = True
+                order.append(p)
+                stack.pop()
+    return order, None
+
+
+def _subset_step(g: Fsa):
+    """Move function of the subset construction over a spontaneous-move-free
+    acceptor: ``step(subset, c)`` is the set of states reached on ``c``."""
+    moves = defaultdict(set)
+    for p, a, q in g.transitions:
+        moves[(p, a)].add(q)
+
+    def step(subset: frozenset, c: str) -> frozenset:
+        return frozenset(q for p in subset for q in moves.get((p, c), ()))
+
+    return step
+
+
+def _product(a: Fsa, b: Fsa) -> tuple[dict[tuple[int, int], int], list]:
+    """Lockstep walk of two spontaneous-move-free acceptors from their
+    initial state pairs. Returns the reachable pairs numbered in discovery
+    order and the transitions between those numbers."""
+    amoves = defaultdict(list)
+    for p, c, q in set(a.transitions):
+        amoves[(p, c)].append(q)
+    bmoves = defaultdict(list)
+    for p, c, q in set(b.transitions):
+        bmoves[(p, c)].append(q)
+    index: dict[tuple[int, int], int] = {}
+    for p in a.initial:
+        for q in b.initial:
+            index.setdefault((p, q), len(index))
+    queue = deque(index)
+    trans = []
+    while queue:
+        p, q = queue.popleft()
+        src = index[(p, q)]
+        for c in a.alphabet.symbols:
+            for p2 in amoves.get((p, c), ()):
+                for q2 in bmoves.get((q, c), ()):
+                    if (p2, q2) not in index:
+                        _check_cap(len(index) + 1)
+                        index[(p2, q2)] = len(index)
+                        queue.append((p2, q2))
+                    trans.append((src, c, index[(p2, q2)]))
+    return index, trans
+
+
+# ---------------------------------------------------------------------------
+# Simulation and structural cleanup
 
 
 def accepts(f: Fsa, word) -> bool:
     """Membership test; ``word`` may be a Word or a plain string."""
     text = word.text if isinstance(word, Word) else word
-    current = _epsilon_closure(f, f.initial)
     adj = f.adjacency()
+    eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
+    current = _reachable(f.initial, eps)
     for c in text:
         if c not in f.alphabet:
             raise InputError(f"symbol {c!r} is not in alphabet {f.alphabet}")
         nxt = {q for p in current for a, q in adj[p] if a == c}
         if not nxt:
             return False
-        current = _epsilon_closure(f, nxt)
+        current = _reachable(nxt, eps)
     return bool(current & f.accepting)
 
 
@@ -210,19 +276,7 @@ def trim(f: Fsa) -> Fsa:
     for p, _a, q in f.transitions:
         fwd[p].append(q)
         bwd[q].append(p)
-
-    def closure(seeds, edges):
-        seen = set(seeds)
-        stack = list(seen)
-        while stack:
-            p = stack.pop()
-            for q in edges[p]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
-
-    useful = closure(f.initial, fwd) & closure(f.accepting, bwd)
+    useful = _reachable(f.initial, fwd) & _reachable(f.accepting, bwd)
     if not useful:
         return empty_fsa(f.alphabet)
     order = sorted(useful)
@@ -243,8 +297,9 @@ def eliminate_epsilon(f: Fsa) -> Fsa:
     f = trim(f)
     if f.n_states == 0:
         return f
-    closures = [_epsilon_closure(f, (s,)) for s in range(f.n_states)]
     adj = f.adjacency()
+    eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
+    closures = [_reachable((s,), eps) for s in range(f.n_states)]
     trans = set()
     for p in range(f.n_states):
         for m in closures[p]:
@@ -264,9 +319,7 @@ def determinize(f: Fsa, complete: bool = False) -> Fsa:
         if not complete:
             return empty_fsa(g.alphabet)
         return Fsa(g.alphabet, 1, tuple((0, c, 0) for c in symbols), (0,), ())
-    moves = defaultdict(set)
-    for p, a, q in g.transitions:
-        moves[(p, a)].add(q)
+    step = _subset_step(g)
     start = frozenset(g.initial)
     index = {start: 0}
     queue = deque([start])
@@ -276,7 +329,7 @@ def determinize(f: Fsa, complete: bool = False) -> Fsa:
         subset = queue.popleft()
         src = index[subset]
         for c in symbols:
-            target = frozenset(q for p in subset for q in moves.get((p, c), ()))
+            target = step(subset, c)
             if not target:
                 if complete:
                     if sink is None:
@@ -344,31 +397,7 @@ def intersection(l: Fsa, r: Fsa) -> Fsa:
     b = eliminate_epsilon(r)
     if a.n_states == 0 or b.n_states == 0:
         return empty_fsa(l.alphabet)
-    amoves = defaultdict(list)
-    for p, c, q in set(a.transitions):
-        amoves[(p, c)].append(q)
-    bmoves = defaultdict(list)
-    for p, c, q in set(b.transitions):
-        bmoves[(p, c)].append(q)
-    index = {}
-    queue = deque()
-    for p in a.initial:
-        for q in b.initial:
-            if (p, q) not in index:
-                index[(p, q)] = len(index)
-                queue.append((p, q))
-    trans = []
-    while queue:
-        p, q = queue.popleft()
-        src = index[(p, q)]
-        for c in l.alphabet.symbols:
-            for p2 in amoves.get((p, c), ()):
-                for q2 in bmoves.get((q, c), ()):
-                    if (p2, q2) not in index:
-                        _check_cap(len(index) + 1)
-                        index[(p2, q2)] = len(index)
-                        queue.append((p2, q2))
-                    trans.append((src, c, index[(p2, q2)]))
+    index, trans = _product(a, b)
     acc = [i for (p, q), i in index.items() if p in a.accepting and q in b.accepting]
     return trim(Fsa(l.alphabet, len(index), trans, (index[pq] for pq in index if pq[0] in a.initial and pq[1] in b.initial), acc))
 
@@ -428,26 +457,8 @@ def left_quotient_lang(l: Fsa, r: Fsa) -> Fsa:
     b = eliminate_epsilon(r)
     if a.n_states == 0 or b.n_states == 0:
         return empty_fsa(l.alphabet)
-    amoves = defaultdict(list)
-    for p, c, q in set(a.transitions):
-        amoves[(p, c)].append(q)
-    bmoves = defaultdict(list)
-    for p, c, q in set(b.transitions):
-        bmoves[(p, c)].append(q)
-    seen = {(p, q) for p in a.initial for q in b.initial}
-    queue = deque(seen)
-    starts = set()
-    while queue:
-        p, q = queue.popleft()
-        if p in a.accepting:
-            starts.add(q)
-        for c in l.alphabet.symbols:
-            for p2 in amoves.get((p, c), ()):
-                for q2 in bmoves.get((q, c), ()):
-                    if (p2, q2) not in seen:
-                        _check_cap(len(seen) + 1)
-                        seen.add((p2, q2))
-                        queue.append((p2, q2))
+    index, _trans = _product(a, b)
+    starts = {q for p, q in index if p in a.accepting}
     return trim(Fsa(b.alphabet, b.n_states, b.transitions, starts, b.accepting))
 
 
@@ -478,9 +489,7 @@ def shortest_word(f: Fsa) -> Optional[Word]:
     g = eliminate_epsilon(f)
     if g.n_states == 0:
         return None
-    moves = defaultdict(set)
-    for p, a, q in set(g.transitions):
-        moves[(p, a)].add(q)
+    step = _subset_step(g)
     start = frozenset(g.initial)
     if start & g.accepting:
         return Word(g.alphabet, "")
@@ -489,7 +498,7 @@ def shortest_word(f: Fsa) -> Optional[Word]:
     while queue:
         subset, prefix = queue.popleft()
         for c in g.alphabet.symbols:  # declared order gives shortlex
-            target = frozenset(q for p in subset for q in moves.get((p, c), ()))
+            target = step(subset, c)
             if not target or target in seen:
                 continue
             if target & g.accepting:
@@ -505,9 +514,7 @@ def enumerate_words(f: Fsa, max_len: int) -> list[Word]:
     out = []
     if g.n_states == 0:
         return out
-    moves = defaultdict(set)
-    for p, a, q in set(g.transitions):
-        moves[(p, a)].add(q)
+    step = _subset_step(g)
     level = [("", frozenset(g.initial))]
     for length in range(max_len + 1):
         for prefix, subset in level:
@@ -518,7 +525,7 @@ def enumerate_words(f: Fsa, max_len: int) -> list[Word]:
         nxt = []
         for prefix, subset in level:
             for c in g.alphabet.symbols:
-                target = frozenset(q for p in subset for q in moves.get((p, c), ()))
+                target = step(subset, c)
                 if target:
                     nxt.append((prefix + c, target))
         level = nxt
@@ -535,23 +542,9 @@ def enumerate_finite_language(f: Fsa) -> list[Word]:
     if g.n_states == 0:
         return []
     adj = g.adjacency()
-    color = [0] * g.n_states  # 0 unseen, 1 on stack, 2 done
-    order = []
-
-    def visit(s: int) -> None:
-        color[s] = 1
-        for _a, q in adj[s]:
-            if color[q] == 1:
-                raise PreconditionError("language is infinite (acceptor has a cycle)")
-            if color[q] == 0:
-                visit(q)
-        color[s] = 2
-        order.append(s)
-
-    for s in range(g.n_states):
-        if color[s] == 0:
-            visit(s)
-
+    order, _cycle = _postorder(range(g.n_states), [[q for _a, q in adj[s]] for s in range(g.n_states)])
+    if order is None:
+        raise PreconditionError("language is infinite (acceptor has a cycle)")
     suffixes: dict[int, set[str]] = {}
     for s in order:  # reverse topological: successors first
         words = {""} if s in g.accepting else set()
@@ -627,43 +620,19 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
 
     # Any spontaneous cycle among useful states yields unboundedly many
     # runs for some accepted word.
-    color = [0] * n
-    stack = []
-    for root in range(n):
-        if color[root]:
-            continue
-        stack.append((root, iter(eps_out[root])))
-        color[root] = 1
-        while stack:
-            s, it = stack[-1]
-            advanced = False
-            for q in it:
-                if color[q] == 1:
-                    return witness_through(q)
-                if color[q] == 0:
-                    color[q] = 1
-                    stack.append((q, iter(eps_out[q])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[s] = 2
-                stack.pop()
+    topo, cycle = _postorder(range(n), eps_out)
+    if topo is None:
+        return witness_through(cycle)
 
-    # Saturating count (0, 1, >=2) of distinct spontaneous paths p -> q.
-    topo = []
-    seen = [False] * n
-    def topo_visit(s: int) -> None:
-        seen[s] = True
-        for q in eps_out[s]:
-            if not seen[q]:
-                topo_visit(q)
-        topo.append(s)
-    for s in range(n):
-        if not seen[s]:
-            topo_visit(s)
+    # Saturating count (0, 1, >=2) of distinct spontaneous paths p -> q,
+    # kept only for the q where a run can stop or read a symbol: the
+    # counts below read no other q, and a long spontaneous chain stays
+    # linear in size.
+    exits = f.accepting | {p for p, _a, _q in sym_trans}
     npaths = [defaultdict(int) for _ in range(n)]
     for s in topo:  # successors already done
-        npaths[s][s] = 1
+        if s in exits:
+            npaths[s][s] = 1
         for q in eps_out[s]:
             for t, c in npaths[q].items():
                 npaths[s][t] = min(2, npaths[s][t] + c)

@@ -10,13 +10,13 @@ import time
 from contextlib import contextmanager
 
 from conftest import random_finite_code
+from oracles import brute_force_oracle
 from partfact import (
     Alphabet,
     FiniteCode,
     RegularCode,
     RegularMonoid,
     RegularPartition,
-    brute_force_oracle,
     canonical_coding_partition,
     canonical_partition,
     characteristic_partition,

@@ -273,6 +273,20 @@ def test_state_cap_environment_exits_3(tmp_path):
     assert code == 3, err
 
 
+def test_internal_error_exits_5_and_batch_continues(tmp_path):
+    # The regex parser recurses once per nesting level, so this document
+    # fails inside partfact, not as malformed input or a false verdict.
+    deep = {"alphabet": ["a", "b"], "kind": "regex", "regex": "(" * 3000 + "a" + ")" * 3000}
+    code, out, err = run_cli(["ud", "--quiet"], files=[deep], tmp_path=tmp_path)
+    assert code == 5, err
+    code, out, err = run_cli(["ud", "--format", "json"], files=[deep, EXAMPLE1_DOC], tmp_path=tmp_path)
+    assert code == 5, err
+    assert re.search(r"^partfact: \S*doc0\.json: internal error: ", err, re.M), err
+    report = json.loads(out)
+    assert report["input"].endswith("doc1.json")
+    assert report["verdict"] is False
+
+
 def test_json_reports_are_deterministic(tmp_path):
     def snapshot():
         code, out, _ = run_cli(["canonical", "--format", "json"], files=[EXAMPLE1_DOC], tmp_path=tmp_path)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_coding_partition, random_finite_code
+from oracles import brute_force_oracle
 from partfact import (
     Alphabet,
     Factorization,
@@ -11,7 +12,6 @@ from partfact import (
     Partition,
     PreconditionError,
     PrimeRelation,
-    brute_force_oracle,
     canonical_coding_partition,
     canonical_partition,
     characteristic_partition,
@@ -229,6 +229,9 @@ def test_p_factorize_examples():
     trivial = Partition.trivial(EXAMPLE1)
     result = p_factorize(ZO.word("0010010"), trivial)
     assert result.blocks == ((0, ZO.word("0010010")),)
+
+    alternating = p_factorize(AB.word("ab" * 5_000), Partition.singletons(FiniteCode(AB, ["a", "b"])))
+    assert [b.text for _k, b in alternating.blocks] == ["a", "b"] * 5_000
 
     with pytest.raises(PreconditionError):
         p_factorize(ZO.word("111"), pc)

@@ -203,6 +203,8 @@ def test_enumerate_finite_language():
     assert [w.text for w in ws] == ["a", "ab", "bb"]
     with pytest.raises(Exception):
         A.enumerate_finite_language(rx("a*"))
+    long_word = "a" * 10_000
+    assert [w.text for w in A.enumerate_finite_language(A.word_fsa(AB.word(long_word)))] == [long_word]
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +223,11 @@ def test_unambiguous_examples():
     diverge_reconverge = Fsa(AB, 4, [(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 3)], (0,), (3,))
     assert not A.is_unambiguous(diverge_reconverge)
     assert A.is_unambiguous(A.empty_fsa(AB))
+    n = 10_000
+    chain = [(i, None, i + 1) for i in range(n - 1)]
+    assert A.is_unambiguous(Fsa(AB, n, chain, (0,), (n - 1,)))
+    forked = Fsa(AB, n, chain + [(0, None, n - 1)], (0,), (n - 1,))
+    assert A.ambiguity_witness(forked) == AB.word("")
 
 
 def test_unambiguity_matches_run_counting():
