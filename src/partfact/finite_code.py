@@ -314,7 +314,6 @@ class _SuffixGraph:
         useful = _reachable((self.source,), fwd) & _reachable((self.term,), bwd)
         self.has_relation = self.term in useful
         self.arcs = [a for a in full_arcs if a[0] in useful and a[1] in useful]
-        self.nodes = useful
         self._residual_len = {node_ids[r]: len(r) for r in node_ids}
         self._word_len = {w: len(w) for w in words}
 
@@ -357,48 +356,26 @@ class _SuffixGraph:
         return None
 
     def cooccurring_text_pairs(self) -> set[tuple[str, str]]:
-        if not self.has_relation:
-            return set()
-        nodes = sorted(self.nodes)
-        index = {n: i for i, n in enumerate(nodes)}
+        # Two words co-occur when an arc of one leaves a node reachable
+        # (reflexively) from the head of an arc of the other, or when they
+        # share a source arc.
         fwd = defaultdict(list)
-        for src, dst, _ann in self.arcs:
-            fwd[src].append(dst)
-        # Reflexive-transitive reachability as bitmasks.
-        reach = {}
-        for n in nodes:
-            mask = 0
-            for q in _reachable((n,), fwd):
-                mask |= 1 << index[q]
-            reach[n] = mask
-
-        arcs_by_word = defaultdict(list)
+        heads = defaultdict(list)  # word -> heads of the arcs consuming it
+        leaving = defaultdict(set)  # node -> words consumed by its out-arcs
         pairs: set[tuple[str, str]] = set()
         for src, dst, ann in self.arcs:
+            fwd[src].append(dst)
+            leaving[src].update(ann)
             for w in ann:
-                arcs_by_word[w].append((src, dst))
+                heads[w].append(dst)
             if len(ann) == 2:
                 pairs.add(tuple(sorted(ann)))
-        reach_after = {
-            w: _or_all(reach[dst] for _src, dst in arcs) for w, arcs in arcs_by_word.items()
-        }
-        ws = sorted(arcs_by_word)
-        for i, u in enumerate(ws):
-            for v in ws[i + 1:]:
-                if (u, v) in pairs:
-                    continue
-                if any(reach_after[u] >> index[src] & 1 for src, _dst in arcs_by_word[v]) or any(
-                    reach_after[v] >> index[src] & 1 for src, _dst in arcs_by_word[u]
-                ):
-                    pairs.add((u, v))
+        for u, dsts in heads.items():
+            for node in _reachable(dsts, fwd):
+                for v in leaving[node]:
+                    if v != u:
+                        pairs.add((u, v) if u < v else (v, u))
         return pairs
-
-
-def _or_all(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +411,18 @@ def enumerate_prime_relations(x: FiniteCode, max_message_len: int) -> list[Prime
     alphabet = x.alphabet
     found: list[tuple[tuple[str, ...], tuple[str, ...], str]] = []
 
+    # Depth-first over the states (parts0, parts1, behind0, blen, msg).
     # parts0 always begins with the shorter first word, hence is the
-    # shortlex-smaller side. behind0 says which side still trails.
-    def rec(parts0, parts1, behind0: bool, blen: int, msg: str):
+    # shortlex-smaller side; behind0 says which side still trails, and
+    # msg[blen:] is the residual by which the other side leads.
+    stack = [
+        ((xs,), (ys,), True, len(xs), ys)
+        for xs in strs
+        for ys in strs
+        if xs != ys and ys.startswith(xs) and len(ys) <= max_message_len
+    ]
+    while stack:
+        parts0, parts1, behind0, blen, msg = stack.pop()
         residual = msg[blen:]
         for w in strs:
             if w == residual:
@@ -445,22 +431,17 @@ def enumerate_prime_relations(x: FiniteCode, max_message_len: int) -> list[Prime
                 found.append((left, right, msg))
             elif residual.startswith(w):
                 if behind0:
-                    rec(parts0 + (w,), parts1, True, blen + len(w), msg)
+                    stack.append((parts0 + (w,), parts1, True, blen + len(w), msg))
                 else:
-                    rec(parts0, parts1 + (w,), False, blen + len(w), msg)
+                    stack.append((parts0, parts1 + (w,), False, blen + len(w), msg))
             elif w.startswith(residual):
                 ext = w[len(residual):]
                 if len(msg) + len(ext) > max_message_len:
                     continue
                 if behind0:
-                    rec(parts0 + (w,), parts1, False, len(msg), msg + ext)
+                    stack.append((parts0 + (w,), parts1, False, len(msg), msg + ext))
                 else:
-                    rec(parts0, parts1 + (w,), True, len(msg), msg + ext)
-
-    for xs in strs:
-        for ys in strs:
-            if xs != ys and ys.startswith(xs) and len(ys) <= max_message_len:
-                rec((xs,), (ys,), True, len(xs), ys)
+                    stack.append((parts0, parts1 + (w,), True, len(msg), msg + ext))
 
     def word_key(t: str):
         return alphabet.word(t).sort_key()
@@ -560,56 +541,25 @@ def p_factorize(w: Word, p: Partition) -> PFactorization:
         raise PreconditionError("the partition is not a coding partition")
     text = w.text
     n = len(text)
-    class_texts = [sorted(v.text for v in c) for c in p.classes]
-
-    # block_ends[k][i]: positions j > i with text[i:j] in (class k)+
-    block_ends: list[dict[int, list[int]]] = []
-    for texts in class_texts:
-        one = defaultdict(list)
-        for i in range(n):
-            for t in texts:
+    words = [(v.text, k) for k, c in enumerate(p.classes) for v in c]
+    # back[j] = (i, k): text[i:j] is a word of class k and text[:i] is a
+    # message. A coding partition gives a message one block factorization,
+    # so any chain of back links spells it once runs of one class merge.
+    back: dict[int, Optional[tuple[int, int]]] = {0: None}
+    for i in range(n):
+        if i in back:
+            for t, k in words:
                 if text.startswith(t, i):
-                    one[i].append(i + len(t))
-        block_ends.append({i: sorted(_reachable(one[i], one)) for i in range(n)})
-
-    def parse(i: int, prev: int):
-        # The first block (k, j) of a parse of text[i:] whose class k is not
-        # prev; None when there is none. Each yield asks for the parse of
-        # the rest text[j:] after block (j, k) and receives it.
-        for k in range(len(p.classes)):
-            if k != prev:
-                for j in block_ends[k][i]:
-                    if j == n or (yield (j, k)) is not None:
-                        return k, j
-        return None
-
-    # Depth-first over the states (i, prev), memoized in `first`, on an
-    # explicit stack of suspended parses so that no recursion depth grows
-    # with the number of blocks.
-    first: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
-    frames = [((0, -1), parse(0, -1))]
-    reply = None
-    while frames:
-        key, search = frames[-1]
-        try:
-            rest = search.send(reply)
-        except StopIteration as stop:
-            first[key] = reply = stop.value
-            frames.pop()
-            continue
-        if rest in first:
-            reply = first[rest]
-        else:
-            frames.append((rest, parse(*rest)))
-            reply = None
-
-    if first[(0, -1)] is None:
+                    back.setdefault(i + len(t), (i, k))
+    if n not in back:
         raise PreconditionError(f"{text!r} is not a message of this code")
-    blocks = []
-    i, prev = 0, -1
-    while i < n:
-        k, j = first[(i, prev)]
-        blocks.append((k, w.alphabet.word(text[i:j])))
-        i, prev = j, k
-    return PFactorization(w, blocks)
-
+    spans = []  # (class, start, end) of the blocks, last block first
+    j = n
+    while j > 0:
+        i, k = back[j]
+        if spans and spans[-1][0] == k:
+            spans[-1] = (k, i, spans[-1][2])
+        else:
+            spans.append((k, i, j))
+        j = i
+    return PFactorization(w, [(k, w.alphabet.word(text[i:j])) for k, i, j in reversed(spans)])

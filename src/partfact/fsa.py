@@ -14,6 +14,7 @@ than the configured cap.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from functools import reduce
 from typing import Iterable, Optional
 
 from .errors import (
@@ -680,37 +681,44 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
                 queue.append(q)
         moves[p] = by_symbol
 
-    # Two runs over the same word: track unordered diverged state pairs.
+    # Two runs over the same word: track unordered diverged state pairs,
+    # breadth first. A pair is tested when it is first queued, so the
+    # first pair where both diverged runs accept is found without
+    # queueing the rest.
     pairword: dict[tuple[int, int], str] = {}
     pending = deque()
 
-    def push(p: int, q: int, word: str) -> None:
+    def push(p: int, q: int, word: str) -> bool:
+        """Queue a new pair; True when both runs accept there."""
         key = (p, q) if p <= q else (q, p)
-        if key not in pairword:
-            pairword[key] = word
-            pending.append(key)
+        if key in pairword:
+            return False
+        pairword[key] = word
+        pending.append(key)
+        return tails[p] >= 1 and tails[q] >= 1
 
     inits = sorted(f.initial)
     for i, p in enumerate(inits):
         for q in inits[i + 1:]:
-            push(p, q, "")
+            if push(p, q, ""):
+                return ""
     for p in moves:
         for a, targets in moves[p].items():
             for i, q1 in enumerate(targets):
                 for q2 in targets[i + 1:]:
-                    push(q1, q2, access[p] + a)
+                    if push(q1, q2, access[p] + a):
+                        return access[p] + a
 
     while pending:
         key = pending.popleft()
         p, q = key
         word = pairword[key]
-        if tails[p] >= 1 and tails[q] >= 1:
-            return word  # both diverged runs accept here
         for a, ptargets in moves.get(p, {}).items():
             qtargets = moves.get(q, {}).get(a, ())
             for p2 in ptargets:
                 for q2 in qtargets:
-                    push(p2, q2, word + a)
+                    if push(p2, q2, word + a):
+                        return word + a
     return None
 
 
@@ -718,91 +726,54 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
 # Regex dialect: parsing and synthesis
 
 
-class _RegexParser:
-    """Dialect: single-character symbols, ``|`` union, juxtaposition,
-    postfix ``*`` and ``+``, parentheses, ``_`` for the empty word;
-    whitespace ignored."""
-
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
-        self.alphabet = alphabet
-        self.pos = 0
-
-    def error(self, message: str) -> RegexSyntaxError:
-        return RegexSyntaxError(message, self.pos)
-
-    def peek(self) -> Optional[str]:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def parse(self) -> Fsa:
-        node = self.alternation()
-        if self.peek() is not None:
-            raise self.error(f"unexpected {self.text[self.pos]!r}")
-        return trim(node)
-
-    def alternation(self) -> Fsa:
-        parts = [self.concatenation()]
-        while self.peek() == "|":
-            self.pos += 1
-            parts.append(self.concatenation())
-        node = parts[0]
-        for p in parts[1:]:
-            node = union(node, p)
-        return node
-
-    def concatenation(self) -> Fsa:
-        parts = []
-        while True:
-            c = self.peek()
-            if c is None or c in "|)":
-                break
-            parts.append(self.repetition())
-        if not parts:
-            raise self.error("expected a symbol, '(', or '_'")
-        node = parts[0]
-        for p in parts[1:]:
-            node = concat(node, p)
-        return node
-
-    def repetition(self) -> Fsa:
-        node = self.atom()
-        while self.peek() in ("*", "+"):
-            if self.text[self.pos] == "*":
-                node = star(node)
-            else:
-                node = plus(node)
-            self.pos += 1
-        return node
-
-    def atom(self) -> Fsa:
-        c = self.peek()
-        if c is None:
-            raise self.error("unexpected end of expression")
-        if c == "(":
-            self.pos += 1
-            node = self.alternation()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
-            return node
-        if c == "_":
-            self.pos += 1
-            return epsilon_fsa(self.alphabet)
-        if c in "*+)":
-            raise self.error(f"unexpected {c!r}")
-        if c not in self.alphabet:
-            raise self.error(f"symbol {c!r} is not in the alphabet")
-        self.pos += 1
-        return symbol_fsa(self.alphabet, c)
-
-
 def regex_to_fsa(expr: str, alphabet: Alphabet) -> Fsa:
-    """Compile a regex in the library dialect to a trimmed acceptor."""
-    return _RegexParser(expr, alphabet).parse()
+    """Compile a regex in the library dialect to a trimmed acceptor.
+
+    Dialect: single-character symbols, ``|`` union, juxtaposition,
+    postfix ``*`` and ``+``, parentheses, ``_`` for the empty word;
+    whitespace ignored.
+    """
+    # One left-to-right pass. Each open group keeps its finished
+    # alternatives and the factors of the current one; the factors are
+    # folded where the alternative ends, the alternatives where the
+    # group closes, so no recursion depth grows with the nesting.
+    groups: list[tuple[list[Fsa], list[Fsa]]] = []
+    alts: list[Fsa] = []
+    factors: list[Fsa] = []
+    pos = 0
+    while True:
+        while pos < len(expr) and expr[pos].isspace():
+            pos += 1
+        c = expr[pos] if pos < len(expr) else None
+        if c is None or c in "|)":
+            if not factors:
+                raise RegexSyntaxError("expected a symbol, '(', or '_'", pos)
+            alts.append(reduce(concat, factors))
+            factors = []
+            if c != "|":
+                node = reduce(union, alts)
+                if not groups:
+                    if c is None:
+                        return trim(node)
+                    raise RegexSyntaxError(f"unexpected {c!r}", pos)
+                if c is None:
+                    raise RegexSyntaxError("expected ')'", pos)
+                alts, factors = groups.pop()
+                factors.append(node)
+        elif c == "(":
+            groups.append((alts, factors))
+            alts, factors = [], []
+        elif c == "_":
+            factors.append(epsilon_fsa(alphabet))
+        elif c in "*+":
+            if not factors:  # nothing to repeat
+                raise RegexSyntaxError(f"unexpected {c!r}", pos)
+            factors[-1] = star(factors[-1]) if c == "*" else plus(factors[-1])
+        elif c not in alphabet:
+            raise RegexSyntaxError(f"symbol {c!r} is not in the alphabet", pos)
+        else:
+            factors.append(symbol_fsa(alphabet, c))
+        pos += 1
 
 
 # Regex synthesis (state elimination). AST: None is the empty language;

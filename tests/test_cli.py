@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from partfact import Alphabet
+from partfact import Alphabet, cli
 from partfact import fsa as A
 
 EXAMPLE1_DOC = {
@@ -273,15 +273,25 @@ def test_state_cap_environment_exits_3(tmp_path):
     assert code == 3, err
 
 
-def test_internal_error_exits_5_and_batch_continues(tmp_path):
-    # The regex parser recurses once per nesting level, so this document
-    # fails inside partfact, not as malformed input or a false verdict.
-    deep = {"alphabet": ["a", "b"], "kind": "regex", "regex": "(" * 3000 + "a" + ")" * 3000}
-    code, out, err = run_cli(["ud", "--quiet"], files=[deep], tmp_path=tmp_path)
-    assert code == 5, err
-    code, out, err = run_cli(["ud", "--format", "json"], files=[deep, EXAMPLE1_DOC], tmp_path=tmp_path)
-    assert code == 5, err
-    assert re.search(r"^partfact: \S*doc0\.json: internal error: ", err, re.M), err
+def test_internal_error_exits_5_and_batch_continues(tmp_path, monkeypatch, capsys):
+    # A handler that fails on the regex document stands in for a defect
+    # inside partfact: it must not read as malformed input or a false
+    # verdict, and the other documents of a batch are still reported.
+    def faulty_ud(doc, args):
+        if doc.kind == "regex":
+            raise RuntimeError("boom")
+        return cli.cmd_ud(doc, args)
+
+    monkeypatch.setitem(cli.COMMANDS, "ud", faulty_ud)
+    paths = []
+    for i, doc in enumerate([{"alphabet": ["a", "b"], "kind": "regex", "regex": "a|ab"}, EXAMPLE1_DOC]):
+        paths.append(tmp_path / f"doc{i}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["ud", "--quiet", str(paths[0])]) == 5
+    capsys.readouterr()
+    assert cli.main(["ud", "--format", "json", *map(str, paths)]) == 5
+    out, err = capsys.readouterr()
+    assert re.search(r"^partfact: \S*doc0\.json: internal error: boom$", err, re.M), err
     report = json.loads(out)
     assert report["input"].endswith("doc1.json")
     assert report["verdict"] is False

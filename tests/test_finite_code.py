@@ -99,6 +99,10 @@ def test_sp_examples():
     assert [p.text for p in witness.right.parts] == ["ab", "a"]
     ud, witness = sp_is_ud(FiniteCode(AB, ["ab"]))
     assert ud and witness is None
+    ud, witness = sp_is_ud(FiniteCode(AB, ["a", "a" * 10_000]))
+    assert not ud
+    assert [p.text for p in witness.left.parts] == ["a"] * 10_000
+    assert [p.text for p in witness.right.parts] == ["a" * 10_000]
 
 
 def test_sp_rejects_empty_code():
@@ -232,6 +236,8 @@ def test_p_factorize_examples():
 
     alternating = p_factorize(AB.word("ab" * 5_000), Partition.singletons(FiniteCode(AB, ["a", "b"])))
     assert [b.text for _k, b in alternating.blocks] == ["a", "b"] * 5_000
+    run = p_factorize(AB.word("a" * 10_000), Partition.singletons(FiniteCode(AB, ["a", "b"])))
+    assert [b.text for _k, b in run.blocks] == ["a" * 10_000]
 
     with pytest.raises(PreconditionError):
         p_factorize(ZO.word("111"), pc)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -28,12 +29,67 @@ def test_regex_examples():
     assert lang(rx("a|bb")) == {"a", "bb"}
     assert lang(rx("ad*b", ABD), 5) == {"ab", "adb", "addb", "adddb"}
     assert lang(rx("_")) == {""}
+    assert lang(rx("(" * 10_000 + "a" + ")" * 10_000)) == {"a"}
 
 
 def test_regex_structure():
     assert lang(rx("(a|b)*aa(a|b)*"), 4) == {t for t in all_texts(AB, 4) if "aa" in t}
     assert lang(rx("a+")) == {"a" * k for k in range(1, 7)}
     assert lang(rx(" a | b b ")) == {"a", "bb"}  # whitespace ignored
+
+
+def _random_regex(rng, depth):
+    """AST: "a", "b", "_" (empty word), or (op, operand...) for op in
+    alt, cat, star, plus."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(("a", "b", "_"))
+    op = rng.choice(("alt", "cat", "cat", "star", "plus"))
+    if op in ("star", "plus"):
+        return (op, _random_regex(rng, depth - 1))
+    return (op, _random_regex(rng, depth - 1), _random_regex(rng, depth - 1))
+
+
+def _dialect_text(node, rng, level=0):
+    # level 0: alternation context, 1: concatenation, 2: repetition operand
+    def space():
+        return rng.choice(("", "", " "))
+
+    if isinstance(node, str):
+        text, grouped = node, False
+    elif node[0] == "alt":
+        text = _dialect_text(node[1], rng) + space() + "|" + space() + _dialect_text(node[2], rng)
+        grouped = level >= 1
+    elif node[0] == "cat":
+        text = _dialect_text(node[1], rng, 1) + space() + _dialect_text(node[2], rng, 1)
+        grouped = level >= 2
+    else:
+        text = _dialect_text(node[1], rng, 2) + space() + ("*" if node[0] == "star" else "+")
+        grouped = False
+    if grouped or rng.random() < 0.1:
+        text = "(" + space() + text + space() + ")"
+    return text
+
+
+def _python_pattern(node):
+    if isinstance(node, str):
+        return "" if node == "_" else node
+    if node[0] == "alt":
+        return f"(?:{_python_pattern(node[1])}|{_python_pattern(node[2])})"
+    if node[0] == "cat":
+        return _python_pattern(node[1]) + _python_pattern(node[2])
+    return f"(?:{_python_pattern(node[1])}){'*' if node[0] == 'star' else '+'}"
+
+
+def test_regex_matches_python_re():
+    rng = random.Random(71)
+    texts = list(all_texts(AB, 6))
+    for _ in range(300):
+        # Depth 4: Python's backtracking matcher can take exponential time
+        # on deeper nests of loops over nullable bodies.
+        node = _random_regex(rng, 4)
+        text = _dialect_text(node, rng)
+        pattern = re.compile(_python_pattern(node))
+        assert lang(rx(text)) == {t for t in texts if pattern.fullmatch(t)}, (text, pattern.pattern)
 
 
 def test_regex_syntax_errors():
@@ -228,6 +284,9 @@ def test_unambiguous_examples():
     assert A.is_unambiguous(Fsa(AB, n, chain, (0,), (n - 1,)))
     forked = Fsa(AB, n, chain + [(0, None, n - 1)], (0,), (n - 1,))
     assert A.ambiguity_witness(forked) == AB.word("")
+    n = 500
+    looped = Fsa(AB, n, chain[:n - 1] + [(i, "a", i) for i in range(n)], (0,), (n - 1,))
+    assert A.ambiguity_witness(looped) == AB.word("a")
 
 
 def test_unambiguity_matches_run_counting():
