@@ -104,11 +104,14 @@ class Document:
             return A.word_set_fsa(self.alphabet, self.alphabet.words(spec))
         raise InputError("partition classes must be word lists or regex strings")
 
-    def partition_classes(self) -> list[tuple[str, Fsa]]:
-        """Named classes of the document's partition, in document order."""
+    def _partition_spec(self) -> dict:
         if not isinstance(self.partition_raw, dict) or not self.partition_raw:
             raise InputError('this command needs a "partition" object in the input')
-        return [(name, self._class_fsa(spec)) for name, spec in self.partition_raw.items()]
+        return self.partition_raw
+
+    def partition_classes(self) -> list[tuple[str, Fsa]]:
+        """Named classes of the document's partition, in document order."""
+        return [(name, self._class_fsa(spec)) for name, spec in self._partition_spec().items()]
 
     def require_finite(self) -> FiniteCode:
         if self.finite_code is not None:
@@ -117,14 +120,17 @@ class Document:
             words = A.enumerate_finite_language(self.code_fsa)
         except PreconditionError:
             raise InputError("this command needs a finite code") from None
-        return FiniteCode(self.alphabet, words)
+        self.finite_code = FiniteCode(self.alphabet, words)
+        return self.finite_code
 
-    def finite_partition(self) -> Partition:
-        """The document partition as a finite Partition (classes must be
-        finite languages)."""
+    def finite_partition(self, spec: Optional[dict] = None) -> Partition:
+        """A class-spec dict, by default the document partition, as a
+        finite Partition (classes must be finite languages)."""
         code = self.require_finite()
+        if spec is None:
+            spec = self._partition_spec()
         classes = []
-        for _name, f in self.partition_classes():
+        for f in [self._class_fsa(v) for v in spec.values()]:
             try:
                 classes.append(frozenset(A.enumerate_finite_language(f)))
             except PreconditionError:
@@ -236,16 +242,13 @@ def cmd_lattice(doc: Document, args) -> dict:
         raise InputError('lattice needs a "partitions" object in the input')
     if args.left is None or args.right is None:
         raise InputError("lattice needs --left and --right partition names")
-    code = doc.require_finite()
+    doc.require_finite()  # an infinite code is reported before a missing name
 
     def named(name: str) -> Partition:
         spec = doc.partitions_raw.get(name)
         if not isinstance(spec, dict):
             raise InputError(f"no partition named {name!r} in the input")
-        classes = []
-        for _cls_name, value in spec.items():
-            classes.append(frozenset(A.enumerate_finite_language(doc._class_fsa(value))))
-        return _build_partition(code, classes)
+        return doc.finite_partition(spec)
 
     op = L.coding_meet if args.op == "meet" else L.coding_join
     result = op(named(args.left), named(args.right))

@@ -16,10 +16,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AlphabetMismatchError, InputError, PreconditionError
 from .fsa import _reachable
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _Frozen
 
 
-class FiniteCode:
+class FiniteCode(_Frozen):
     """Finite set of nonempty words over one alphabet."""
 
     __slots__ = ("alphabet", "words")
@@ -36,9 +36,6 @@ class FiniteCode:
             ws.add(w)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "words", frozenset(ws))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteCode is immutable")
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words)
@@ -64,7 +61,7 @@ def _require_nonempty(x: FiniteCode) -> None:
         raise PreconditionError("analysis of the empty code is undefined")
 
 
-class Factorization:
+class Factorization(_Frozen):
     """A message together with one way of splitting it into code words."""
 
     __slots__ = ("message", "parts")
@@ -79,9 +76,6 @@ class Factorization:
         object.__setattr__(self, "message", message)
         object.__setattr__(self, "parts", parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Factorization is immutable")
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Factorization) and self.parts == other.parts and self.message == other.message
 
@@ -92,7 +86,7 @@ class Factorization:
         return "·".join(p.text for p in self.parts)
 
 
-class PrimeRelation:
+class PrimeRelation(_Frozen):
     """Two distinct factorizations of one message that never agree on a
     proper intermediate prefix product."""
 
@@ -109,9 +103,6 @@ class PrimeRelation:
             raise InputError("factorizations share an intermediate prefix product; relation is not prime")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeRelation is immutable")
 
     @property
     def message(self) -> Word:
@@ -139,7 +130,7 @@ def _interior_cuts(f: Factorization) -> frozenset[int]:
     return frozenset(cuts)
 
 
-class Partition:
+class Partition(_Frozen):
     """Indexed family of disjoint nonempty classes covering a finite code.
 
     Class order is preserved as given; equality and hashing ignore it.
@@ -160,9 +151,6 @@ class Partition:
             raise InputError("partition classes do not cover the code exactly")
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "classes", cls)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @staticmethod
     def trivial(code: FiniteCode) -> "Partition":
@@ -202,7 +190,7 @@ class Partition:
         return f"Partition({body})"
 
 
-class PFactorization:
+class PFactorization(_Frozen):
     """Decomposition of a message into maximal same-class blocks."""
 
     __slots__ = ("message", "blocks")
@@ -221,9 +209,6 @@ class PFactorization:
                 raise InputError("consecutive blocks must come from distinct classes")
         object.__setattr__(self, "message", message)
         object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PFactorization is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PFactorization) and self.message == other.message and self.blocks == other.blocks
@@ -443,18 +428,16 @@ def enumerate_prime_relations(x: FiniteCode, max_message_len: int) -> list[Prime
                 else:
                     stack.append((parts0, parts1 + (w,), True, len(msg), msg + ext))
 
-    def word_key(t: str):
-        return alphabet.word(t).sort_key()
+    # one Word per code word and per message, for the sort keys and the output
+    code_word = {w.text: w for w in x.words}
+    rels = [(alphabet.word(msg), [code_word[t] for t in left], [code_word[t] for t in right])
+            for left, right, msg in found]
 
-    found.sort(key=lambda rel: (word_key(rel[2]), tuple(map(word_key, rel[0])), tuple(map(word_key, rel[1]))))
-    out = []
-    for left, right, msg in found:
-        m = alphabet.word(msg)
-        out.append(PrimeRelation(
-            Factorization(m, alphabet.words(left)),
-            Factorization(m, alphabet.words(right)),
-        ))
-    return out
+    def keys(words):
+        return tuple(w.sort_key() for w in words)
+
+    rels.sort(key=lambda rel: (rel[0].sort_key(), keys(rel[1]), keys(rel[2])))
+    return [PrimeRelation(Factorization(m, left), Factorization(m, right)) for m, left, right in rels]
 
 
 def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:
@@ -467,14 +450,6 @@ def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:
         wu, wv = x.alphabet.word(u), x.alphabet.word(v)
         out.add((wu, wv) if wu < wv else (wv, wu))
     return out
-
-
-def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]:
-    """Length of the shortest prime-relation message containing both
-    words, or None when the pair never co-occurs. Audit helper for the
-    exactness of :func:`characteristic_partition`."""
-    _require_nonempty(x)
-    return _SuffixGraph(x).min_message_length((u.text, v.text))
 
 
 def characteristic_partition(x: FiniteCode) -> Partition:

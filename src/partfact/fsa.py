@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from functools import reduce
+from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     RegexSyntaxError,
     StateCapExceededError,
 )
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _Frozen
 
 DEFAULT_STATE_CAP = 100_000
 
@@ -48,7 +49,7 @@ def _check_cap(n: int) -> None:
         raise StateCapExceededError(f"construction needs more than {_state_cap} states")
 
 
-class Fsa:
+class Fsa(_Frozen):
     """Finite-state acceptor over a fixed alphabet.
 
     ``transitions`` is a sequence of ``(src, label, dst)`` triples where
@@ -84,9 +85,6 @@ class Fsa:
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "accepting", acc)
         object.__setattr__(self, "_adj", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fsa is immutable")
 
     def adjacency(self) -> dict[int, list[tuple[Optional[str], int]]]:
         """state -> list of (label, dst); computed once, duplicates kept."""
@@ -203,6 +201,27 @@ def _postorder(roots: Iterable, succ) -> tuple[Optional[list], Optional[object]]
     return order, None
 
 
+def _bfs(seeds: Iterable, succ):
+    """Breadth-first search from lazily generated ``(node, word)`` seeds;
+    ``succ(u)`` lists the ``(label, v)`` edges of ``u`` and is called only
+    after ``u`` is yielded. Yields each node once, when first reached,
+    with the word spelled by the path that reached it."""
+    seen = set()
+    queue = deque()
+    for node, word in seeds:
+        if node not in seen:
+            seen.add(node)
+            queue.append((node, word))
+            yield node, word
+    while queue:
+        u, word = queue.popleft()
+        for label, v in succ(u):
+            if v not in seen:
+                seen.add(v)
+                queue.append((v, word + label))
+                yield queue[-1]
+
+
 def _subset_step(g: Fsa):
     """Move function of the subset construction over a spontaneous-move-free
     acceptor: ``step(subset, c)`` is the set of states reached on ``c``."""
@@ -311,34 +330,23 @@ def eliminate_epsilon(f: Fsa) -> Fsa:
     return trim(Fsa(f.alphabet, f.n_states, sorted(trans), f.initial, accepting))
 
 
-def determinize(f: Fsa, complete: bool = False) -> Fsa:
-    """Subset construction. With ``complete=True`` the result has a total
-    transition function (an explicit sink is added when needed)."""
+def determinize(f: Fsa) -> Fsa:
+    """Subset construction. A subset with no move on a symbol gets no
+    transition on it, so the result has no sink state."""
     g = eliminate_epsilon(f)
-    symbols = g.alphabet.symbols
     if g.n_states == 0:
-        if not complete:
-            return empty_fsa(g.alphabet)
-        return Fsa(g.alphabet, 1, tuple((0, c, 0) for c in symbols), (0,), ())
+        return g
     step = _subset_step(g)
     start = frozenset(g.initial)
     index = {start: 0}
     queue = deque([start])
     trans = []
-    sink: Optional[int] = None
     while queue:
         subset = queue.popleft()
         src = index[subset]
-        for c in symbols:
+        for c in g.alphabet.symbols:
             target = step(subset, c)
             if not target:
-                if complete:
-                    if sink is None:
-                        sink = len(index)
-                        _check_cap(sink + 1)
-                        index[frozenset((-1,))] = sink
-                        trans.extend((sink, c2, sink) for c2 in symbols)
-                    trans.append((src, c, sink))
                 continue
             if target not in index:
                 _check_cap(len(index) + 1)
@@ -350,29 +358,31 @@ def determinize(f: Fsa, complete: bool = False) -> Fsa:
 
 
 def minimize(f: Fsa) -> Fsa:
-    """Minimal trimmed DFA for the language (Moore partition refinement)."""
-    d = determinize(f, complete=True)
-    symbols = d.alphabet.symbols
-    succ = {}
+    """Minimal trimmed DFA for the language (Moore partition refinement).
+    Every state of the partial DFA reaches acceptance, so a missing move
+    (``-1`` in a signature) sets states apart just as a sink would."""
+    d = determinize(f)
+    if d.n_states == 0:
+        return d
+    succ = [[-1] * len(d.alphabet) for _ in range(d.n_states)]
     for p, a, q in d.transitions:
-        succ[(p, a)] = q
+        succ[p][d.alphabet.rank(a)] = q
     block = [0 if s in d.accepting else 1 for s in range(d.n_states)]
     while True:
         signature = {}
         new_block = []
         for s in range(d.n_states):
-            sig = (block[s],) + tuple(block[succ[(s, c)]] for c in symbols)
+            sig = (block[s],) + tuple(-1 if q < 0 else block[q] for q in succ[s])
             if sig not in signature:
                 signature[sig] = len(signature)
             new_block.append(signature[sig])
         if new_block == block:
             break
         block = new_block
-    n_blocks = max(block) + 1
-    trans = sorted({(block[p], a, block[q]) for (p, a), q in succ.items()})
+    trans = sorted({(block[p], a, block[q]) for p, a, q in d.transitions})
     init = {block[s] for s in d.initial}
     acc = {block[s] for s in d.accepting}
-    return trim(Fsa(d.alphabet, n_blocks, trans, init, acc))
+    return Fsa(d.alphabet, max(block) + 1, trans, init, acc)
 
 
 def _shift(transitions, by):
@@ -404,15 +414,17 @@ def intersection(l: Fsa, r: Fsa) -> Fsa:
 
 
 def complement(f: Fsa) -> Fsa:
-    d = determinize(f, complete=True)
-    flipped = Fsa(
-        d.alphabet,
-        d.n_states,
-        d.transitions,
-        d.initial,
-        set(range(d.n_states)) - d.accepting,
-    )
-    return trim(flipped)
+    d = determinize(f)
+    if d.n_states == 0:
+        return full_language_fsa(d.alphabet)
+    symbols = d.alphabet.symbols
+    sink = d.n_states  # takes every missing move; added only if one is missing
+    present = {(p, a) for p, a, _q in d.transitions}
+    missing = [(p, c, sink) for p in range(sink) for c in symbols if (p, c) not in present]
+    if missing:
+        missing += [(sink, c, sink) for c in symbols]
+    n = sink + 1 if missing else sink
+    return trim(Fsa(d.alphabet, n, d.transitions + tuple(missing), d.initial, set(range(n)) - d.accepting))
 
 
 def difference(l: Fsa, r: Fsa) -> Fsa:
@@ -451,18 +463,6 @@ def factor_closure(f: Fsa) -> Fsa:
     return Fsa(g.alphabet, g.n_states, g.transitions, everything, everything)
 
 
-def left_quotient_lang(l: Fsa, r: Fsa) -> Fsa:
-    """Acceptor for L⁻¹R = { s : x·s ∈ R for some x ∈ L }."""
-    _require_same_alphabet(l, r)
-    a = eliminate_epsilon(l)
-    b = eliminate_epsilon(r)
-    if a.n_states == 0 or b.n_states == 0:
-        return empty_fsa(l.alphabet)
-    index, _trans = _product(a, b)
-    starts = {q for p, q in index if p in a.accepting}
-    return trim(Fsa(b.alphabet, b.n_states, b.transitions, starts, b.accepting))
-
-
 # ---------------------------------------------------------------------------
 # Decision procedures
 
@@ -491,46 +491,17 @@ def shortest_word(f: Fsa) -> Optional[Word]:
     if g.n_states == 0:
         return None
     step = _subset_step(g)
-    start = frozenset(g.initial)
-    if start & g.accepting:
-        return Word(g.alphabet, "")
-    seen = {start}
-    queue = deque([(start, "")])
-    while queue:
-        subset, prefix = queue.popleft()
+
+    def succ(subset: frozenset):
         for c in g.alphabet.symbols:  # declared order gives shortlex
             target = step(subset, c)
-            if not target or target in seen:
-                continue
-            if target & g.accepting:
-                return Word(g.alphabet, prefix + c)
-            seen.add(target)
-            queue.append((target, prefix + c))
+            if target:
+                yield c, target
+
+    for subset, word in _bfs([(frozenset(g.initial), "")], succ):
+        if subset & g.accepting:
+            return Word(g.alphabet, word)
     return None
-
-
-def enumerate_words(f: Fsa, max_len: int) -> list[Word]:
-    """All accepted words of length at most ``max_len``, shortlex-sorted."""
-    g = eliminate_epsilon(f)
-    out = []
-    if g.n_states == 0:
-        return out
-    step = _subset_step(g)
-    level = [("", frozenset(g.initial))]
-    for length in range(max_len + 1):
-        for prefix, subset in level:
-            if subset & g.accepting:
-                out.append(Word(g.alphabet, prefix))
-        if length == max_len:
-            break
-        nxt = []
-        for prefix, subset in level:
-            for c in g.alphabet.symbols:
-                target = step(subset, c)
-                if target:
-                    nxt.append((prefix + c, target))
-        level = nxt
-    return out
 
 
 def enumerate_finite_language(f: Fsa) -> list[Word]:
@@ -584,20 +555,10 @@ def _shortest_raw_paths(f: Fsa, seeds, reverse: bool) -> dict[int, str]:
     raw transitions; with ``reverse`` the words lead into the seeds."""
     adj = defaultdict(list)
     for p, a, q in f.transitions:
-        if reverse:
-            adj[q].append((a, p))
-        else:
-            adj[p].append((a, q))
-    words = {s: "" for s in seeds}
-    queue = deque(words)
-    while queue:
-        s = queue.popleft()
-        for a, t in adj[s]:
-            if t not in words:
-                piece = "" if a is None else a
-                words[t] = piece + words[s] if reverse else words[s] + piece
-                queue.append(t)
-    return words
+        src, dst = (q, p) if reverse else (p, q)
+        adj[src].append(("" if a is None else a, dst))
+    words = dict(_bfs(((s, "") for s in seeds), adj.__getitem__))
+    return {s: w[::-1] for s, w in words.items()} if reverse else words
 
 
 def _find_ambiguous_word(f: Fsa) -> Optional[str]:
@@ -614,16 +575,19 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
         else:
             sym_trans.append((p, a, q))
 
-    def witness_through(state: int) -> str:
-        into = _shortest_raw_paths(f, f.initial, reverse=False)
-        outof = _shortest_raw_paths(f, f.accepting, reverse=True)
-        return into[state] + outof[state]
+    completions: Optional[dict[int, str]] = None
+
+    def completion(state: int) -> str:
+        nonlocal completions
+        if completions is None:
+            completions = _shortest_raw_paths(f, f.accepting, reverse=True)
+        return completions[state]
 
     # Any spontaneous cycle among useful states yields unboundedly many
     # runs for some accepted word.
     topo, cycle = _postorder(range(n), eps_out)
     if topo is None:
-        return witness_through(cycle)
+        return _shortest_raw_paths(f, f.initial, reverse=False)[cycle] + completion(cycle)
 
     # Saturating count (0, 1, >=2) of distinct spontaneous paths p -> q,
     # kept only for the q where a run can stop or read a symbol: the
@@ -655,70 +619,44 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
                 counts[(a, q)] = min(2, counts[(a, q)] + k)
         return counts
 
-    completions: Optional[dict[int, str]] = None
-
-    def completion(state: int) -> str:
-        nonlocal completions
-        if completions is None:
-            completions = _shortest_raw_paths(f, f.accepting, reverse=True)
-        return completions[state]
-
-    access = {p: "" for p in f.initial}
-    queue = deque(access)
+    # Breadth first over positions; a position's moves are computed, and
+    # checked, when it is first reached.
+    access: dict[int, str] = {}
+    reads: dict[int, dict[tuple[str, int], int]] = {}  # position -> moves_from
     moves: dict[int, dict[str, list[int]]] = {}
-    while queue:
-        p = queue.popleft()
+    for p, word in _bfs(((p, "") for p in f.initial), lambda p: reads[p]):
         if tails[p] >= 2:
-            return access[p]  # two spontaneous routes into acceptance
-        counts = moves_from(p)
-        by_symbol: dict[str, list[int]] = defaultdict(list)
-        for (a, q), k in counts.items():
+            return word  # two spontaneous routes into acceptance
+        access[p] = word
+        reads[p] = moves_from(p)
+        moves[p] = defaultdict(list)
+        for (a, q), k in reads[p].items():
             if k >= 2:
-                return access[p] + a + completion(q)  # duplicated move
-            by_symbol[a].append(q)
-            if q not in access:
-                access[q] = access[p] + a
-                queue.append(q)
-        moves[p] = by_symbol
+                return word + a + completion(q)  # duplicated move
+            moves[p][a].append(q)
 
-    # Two runs over the same word: track unordered diverged state pairs,
-    # breadth first. A pair is tested when it is first queued, so the
-    # first pair where both diverged runs accept is found without
-    # queueing the rest.
-    pairword: dict[tuple[int, int], str] = {}
-    pending = deque()
+    # Two runs over the same word: unordered diverged state pairs, breadth
+    # first. The seeds are generated lazily, so the first pair where both
+    # diverged runs accept is found without building the rest.
+    def pair(p: int, q: int) -> tuple[int, int]:
+        return (p, q) if p <= q else (q, p)
 
-    def push(p: int, q: int, word: str) -> bool:
-        """Queue a new pair; True when both runs accept there."""
-        key = (p, q) if p <= q else (q, p)
-        if key in pairword:
-            return False
-        pairword[key] = word
-        pending.append(key)
-        return tails[p] >= 1 and tails[q] >= 1
-
-    inits = sorted(f.initial)
-    for i, p in enumerate(inits):
-        for q in inits[i + 1:]:
-            if push(p, q, ""):
-                return ""
-    for p in moves:
-        for a, targets in moves[p].items():
-            for i, q1 in enumerate(targets):
-                for q2 in targets[i + 1:]:
-                    if push(q1, q2, access[p] + a):
-                        return access[p] + a
-
-    while pending:
-        key = pending.popleft()
+    def pair_moves(key: tuple[int, int]):
         p, q = key
-        word = pairword[key]
-        for a, ptargets in moves.get(p, {}).items():
-            qtargets = moves.get(q, {}).get(a, ())
+        for a, ptargets in moves[p].items():
+            qtargets = moves[q].get(a, ())
             for p2 in ptargets:
                 for q2 in qtargets:
-                    if push(p2, q2, word + a):
-                        return word + a
+                    yield a, pair(p2, q2)
+
+    forks = chain(  # (word, states) where several runs part: the start, then every move
+        [("", sorted(f.initial))],
+        ((access[p] + a, ts) for p, by in moves.items() for a, ts in by.items()),
+    )
+    seeds = ((pair(q1, q2), word) for word, ts in forks for i, q1 in enumerate(ts) for q2 in ts[i + 1:])
+    for (p, q), word in _bfs(seeds, pair_moves):
+        if tails[p] >= 1 and tails[q] >= 1:
+            return word
     return None
 
 

@@ -17,10 +17,10 @@ from . import fsa as A
 from .errors import AlphabetMismatchError, PreconditionError
 from .finite_code import FiniteCode, Partition, canonical_partition
 from .fsa import Fsa
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _Frozen
 
 
-class RegularCode:
+class RegularCode(_Frozen):
     """Regular language of code words: nonempty, empty word excluded."""
 
     __slots__ = ("lang",)
@@ -32,9 +32,6 @@ class RegularCode:
         if A.accepts(lang, ""):
             raise PreconditionError("a code may not contain the empty word")
         object.__setattr__(self, "lang", lang)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RegularCode is immutable")
 
     @property
     def alphabet(self) -> Alphabet:
@@ -57,7 +54,7 @@ class RegularCode:
         return f"RegularCode({self.lang!r})"
 
 
-class RegularMonoid:
+class RegularMonoid(_Frozen):
     """Regular submonoid of the free monoid: contains the empty word and
     is closed under concatenation (both checked at construction)."""
 
@@ -72,9 +69,6 @@ class RegularMonoid:
                 raise PreconditionError("language is not closed under concatenation")
         object.__setattr__(self, "lang", lang)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RegularMonoid is immutable")
-
     @property
     def alphabet(self) -> Alphabet:
         return self.lang.alphabet
@@ -88,7 +82,7 @@ class RegularMonoid:
         return f"RegularMonoid({self.lang!r})"
 
 
-class RegularPartition:
+class RegularPartition(_Frozen):
     """Finite family of regular classes partitioning a regular code."""
 
     __slots__ = ("code", "classes")
@@ -115,9 +109,6 @@ class RegularPartition:
             raise PreconditionError("classes do not cover the code exactly")
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "classes", classes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RegularPartition is immutable")
 
     @staticmethod
     def from_finite(p: Partition) -> "RegularPartition":

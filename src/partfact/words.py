@@ -15,7 +15,20 @@ from typing import Iterable, Optional
 from .errors import AlphabetMismatchError, InputError, PreconditionError
 
 
-class Alphabet:
+class _Frozen:
+    """Base of the immutable value types: ``__init__`` sets each slot once
+    through ``object.__setattr__``; no slot can be rebound or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Alphabet(_Frozen):
     """Ordered finite set of distinct single-character symbols.
 
     Immutable after construction. The declared order is the tie-break
@@ -35,9 +48,6 @@ class Alphabet:
             raise InputError(f"alphabet contains duplicate symbols: {''.join(syms)!r}")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "_rank", {s: i for i, s in enumerate(syms)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
 
     def rank(self, symbol: str) -> int:
         try:
@@ -77,7 +87,7 @@ def _require_same_alphabet(a: Alphabet, b: Alphabet) -> None:
 
 
 @functools.total_ordering
-class Word:
+class Word(_Frozen):
     """Immutable word over a fixed alphabet.
 
     Comparison operators implement shortlex with respect to the owning
@@ -94,9 +104,6 @@ class Word:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "_key", (len(text), tuple(alphabet.rank(c) for c in text)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     def sort_key(self) -> tuple:
         """Shortlex key: (length, symbol ranks)."""

@@ -7,6 +7,7 @@ import random
 
 from partfact import Alphabet, FiniteCode, Partition, characteristic_partition
 from partfact.fsa import Fsa, accepts
+from oracles import enumerate_words
 
 
 def random_finite_code(rng: random.Random, max_words: int = 6, max_len: int = 4,
@@ -57,8 +58,6 @@ def all_texts(alphabet: Alphabet, max_len: int):
 
 def language_set(f: Fsa, max_len: int) -> set[str]:
     """Language snapshot up to a length bound."""
-    from partfact.fsa import enumerate_words
-
     return {w.text for w in enumerate_words(f, max_len)}
 
 
@@ -102,6 +101,4 @@ def count_runs(f: Fsa, text: str, cap: int = 3) -> int:
 
 def has_ambiguous_word(f: Fsa, max_len: int) -> bool:
     """Some accepted word of length <= max_len has two accepting runs."""
-    from partfact.fsa import enumerate_words
-
     return any(count_runs(f, w.text, cap=2) >= 2 for w in enumerate_words(f, max_len))

@@ -1,14 +1,52 @@
-"""Bounded brute-force oracle for finite codes.
+"""Test-only helpers: a bounded brute-force oracle for finite codes,
+a bounded word enumerator for acceptors, and an audit bound for the
+co-occurrence analysis.
 
-It shares no code with the exact analyses in ``partfact.finite_code``,
-so the tests can use it as independent ground truth.
+The brute-force oracle shares no code with the exact analyses in
+``partfact.finite_code``, so the tests can use it as independent ground
+truth.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from partfact import FiniteCode, PreconditionError, Word
+from partfact.finite_code import _SuffixGraph
+from partfact.fsa import Fsa, eliminate_epsilon
+
+
+def enumerate_words(f: Fsa, max_len: int) -> list[Word]:
+    """All accepted words of length at most ``max_len``, shortlex-sorted."""
+    g = eliminate_epsilon(f)
+    out = []
+    if g.n_states == 0:
+        return out
+    adj = g.adjacency()
+    level = [("", frozenset(g.initial))]
+    for length in range(max_len + 1):
+        for prefix, subset in level:
+            if subset & g.accepting:
+                out.append(Word(g.alphabet, prefix))
+        if length == max_len:
+            break
+        nxt = []
+        for prefix, subset in level:
+            for c in g.alphabet.symbols:
+                target = frozenset(q for p in subset for a, q in adj[p] if a == c)
+                if target:
+                    nxt.append((prefix + c, target))
+        level = nxt
+    return out
+
+
+def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]:
+    """Length of the shortest prime-relation message containing both
+    words, or None when the pair never co-occurs. Audit helper for the
+    exactness of ``characteristic_partition``."""
+    if not x.words:
+        raise PreconditionError("analysis of the empty code is undefined")
+    return _SuffixGraph(x).min_message_length((u.text, v.text))
 
 
 def brute_force_oracle(x: FiniteCode, max_message_len: int) -> tuple[bool, set[tuple[Word, Word]]]:

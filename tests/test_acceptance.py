@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import random_finite_code
-from oracles import brute_force_oracle
+from oracles import brute_force_oracle, cooccurrence_witness_bound
 from partfact import (
     Alphabet,
     FiniteCode,
@@ -24,7 +24,6 @@ from partfact import (
     coding_meet,
     completeness_witness,
     cooccurrence_pairs,
-    cooccurrence_witness_bound,
     enumerate_prime_relations,
     extension_witness,
     gen_ud,

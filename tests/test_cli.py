@@ -149,6 +149,13 @@ def test_lattice(tmp_path):
         ["11", "1111"],
         ["010", "011"],
     ]
+    # an infinite class is bad input for lattice, as it is for factorize
+    doc["partitions"]["P3"] = {"A": "0(0|1)*", "B": ["11"]}
+    err = run_json(["lattice", "--op", "meet", "--left", "P1", "--right", "P3"], doc, tmp_path, expect=2)
+    assert "this command needs finite partition classes" in err
+    doc["partition"] = doc["partitions"]["P3"]
+    err = run_json(["factorize", "--word", "0011"], doc, tmp_path, expect=2)
+    assert "this command needs finite partition classes" in err
 
 
 def test_base_finite_and_infinite(tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_coding_partition, random_finite_code
-from oracles import brute_force_oracle
+from oracles import brute_force_oracle, cooccurrence_witness_bound
 from partfact import (
     Alphabet,
     Factorization,
@@ -16,7 +16,6 @@ from partfact import (
     canonical_partition,
     characteristic_partition,
     cooccurrence_pairs,
-    cooccurrence_witness_bound,
     enumerate_prime_relations,
     is_coding,
     is_totally_ambiguous,

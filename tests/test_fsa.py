@@ -4,6 +4,7 @@ import re
 import pytest
 
 from conftest import all_texts, count_runs, has_ambiguous_word, language_set, random_fsa
+from oracles import enumerate_words
 from partfact import Alphabet, AlphabetMismatchError, InputError, RegexSyntaxError, StateCapExceededError
 from partfact import fsa as A
 from partfact.fsa import Fsa
@@ -134,15 +135,6 @@ def test_closure_examples():
     assert lang(st, 4) == {"", "aa", "ba", "aaaa", "aaba", "baaa", "baba"}
 
 
-def test_left_quotient_examples():
-    L = A.word_fsa(ZO.word("0"))
-    R = A.word_set_fsa(ZO, ZO.words(["0", "01", "11"]))
-    assert language_set(A.left_quotient_lang(L, R), 3) == {"", "1"}
-    w = rx("aba")
-    assert lang(A.left_quotient_lang(w, w)) == {""}
-    assert A.is_empty(A.left_quotient_lang(A.word_fsa(ZO.word("11")), A.word_set_fsa(ZO, ZO.words(["0", "01"]))))
-
-
 def test_decide_examples():
     assert A.is_universal(A.star(A.word_set_fsa(AB, AB.words(["a", "b"]))))
     assert A.includes(rx("a*"), rx("(aa)*"))
@@ -188,18 +180,6 @@ def test_constructions_match_set_expressions():
         assert lang(A.complement(f1)) == set(all_texts(AB, 6)) - s1
 
 
-def test_left_quotient_matches_membership_test():
-    # s is in the quotient exactly when R meets L.s
-    exprs = ["a", "a|bb", "(ab)*", "a*b", "a+", "_|ab"]
-    for e1 in exprs:
-        for e2 in exprs:
-            f1, f2 = rx(e1), rx(e2)
-            q = A.left_quotient_lang(f1, f2)
-            for s in all_texts(AB, 3):
-                expected = not A.is_empty(A.intersection(f2, A.concat(f1, A.word_fsa(AB.word(s)))))
-                assert A.accepts(q, s) == expected, (e1, e2, s)
-
-
 def test_factor_closure_matches_sandwich_test():
     # u is a factor of L exactly when L meets A* u A*
     sigma_star = rx("(a|b)*")
@@ -222,6 +202,12 @@ def test_random_fsa_boolean_ops():
         assert language_set(A.difference(f1, f2), 5) == s1 - s2
         assert language_set(A.determinize(f1), 5) == s1
         assert language_set(A.minimize(f1), 5) == s1
+    # the minimal DFA of one long word is its chain
+    abcd = Alphabet("abcd")
+    text = "".join(rng.choice("abcd") for _ in range(2000))
+    m = A.minimize(A.word_fsa(abcd.word(text)))
+    assert (m.n_states, len(m.transitions)) == (2001, 2000)
+    assert [w.text for w in A.enumerate_finite_language(m)] == [text]
 
 
 def test_double_complement_round_trip():
@@ -250,7 +236,7 @@ def test_factor_closure_properties():
 
 def test_enumerate_words_sorted():
     f = rx("(a|b)*")
-    ws = A.enumerate_words(f, 3)
+    ws = enumerate_words(f, 3)
     assert [w.text for w in ws] == sorted((w.text for w in ws), key=lambda t: (len(t), t))
 
 
@@ -333,7 +319,7 @@ def test_state_cap():
     try:
         A.set_state_cap(8)
         with pytest.raises(StateCapExceededError):
-            A.determinize(rx("(a|b)*a(a|b)(a|b)(a|b)(a|b)"), complete=True)
+            A.determinize(rx("(a|b)*a(a|b)(a|b)(a|b)(a|b)"))
     finally:
         A.set_state_cap(old)
     with pytest.raises(InputError):

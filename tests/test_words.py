@@ -4,12 +4,21 @@ from hypothesis import given, strategies as st
 from partfact import (
     Alphabet,
     AlphabetMismatchError,
+    Factorization,
+    FiniteCode,
     InputError,
+    Partition,
+    PFactorization,
     PreconditionError,
+    PrimeRelation,
+    RegularCode,
+    RegularMonoid,
+    RegularPartition,
     Word,
     is_factor,
     is_unbordered,
     left_quotient_word,
+    regex_to_fsa,
 )
 
 AB = Alphabet("ab")
@@ -39,6 +48,28 @@ def test_word_validation():
         AB.word("abc")
     with pytest.raises(AlphabetMismatchError):
         AB.word("a") + ZO.word("0")
+
+
+def test_value_types_are_immutable():
+    ab = AB.word("ab")
+    code = FiniteCode(AB, ["a", "ab", "b"])
+    split = Factorization(ab, AB.words(["a", "b"]))
+    partition = Partition.singletons(code)
+    lang = regex_to_fsa("a|ab|b", AB)
+    instances = [
+        AB, ab, lang, code, split, PrimeRelation(split, Factorization(ab, [ab])), partition,
+        PFactorization(ab, [(0, ab)]), RegularCode(lang), RegularMonoid.generated_by(lang),
+        RegularPartition.from_finite(partition),
+    ]
+    for obj in instances:
+        attr = type(obj).__slots__[0]
+        before = getattr(obj, attr)
+        message = f"{type(obj).__name__} is immutable"
+        with pytest.raises(AttributeError, match=message):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(obj, attr)
+        assert getattr(obj, attr) is before
 
 
 def test_is_factor_examples():
