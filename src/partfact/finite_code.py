@@ -1,11 +1,14 @@
 """Exact decipherability analysis of finite codes.
 
 Everything here is exact: unique decipherability is decided by the
-classical Sardinas-Patterson residual iteration, and word co-occurrence
-in prime relations (the merge obligations that define the finest coding
-partition) is decided without any length bound through a reachability
-analysis of the dangling-suffix graph, where prime relations correspond
-to source-to-terminal paths.
+classical Sardinas-Patterson residual iteration on the dangling-suffix
+graph, where prime relations correspond to source-to-terminal paths.
+The finest coding partition is read off that graph without any length
+bound: its classes are the connected components of the code words
+linked through the internal nodes of their useful arcs, which are the
+components of word co-occurrence in prime relations. Pairwise
+co-occurrence (:func:`cooccurrence_pairs`) is computed by a separate
+reachability pass and stays as an exact cross-check.
 """
 
 from __future__ import annotations
@@ -220,28 +223,6 @@ class PFactorization(_Frozen):
         return " ".join(f"(X{k}:{b.text})" for k, b in self.blocks)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def unite(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def groups(self):
-        out = defaultdict(set)
-        for i in self.parent:
-            out[self.find(i)].add(i)
-        return list(out.values())
-
-
 # ---------------------------------------------------------------------------
 # Dangling-suffix graph.
 #
@@ -452,15 +433,37 @@ def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:
     return out
 
 
-def characteristic_partition(x: FiniteCode) -> Partition:
-    """The finest coding partition: connected components of the
-    co-occurrence graph."""
-    _require_nonempty(x)
-    uf = _UnionFind(x.words)
-    for u, v in cooccurrence_pairs(x):
-        uf.unite(u, v)
-    classes = sorted((frozenset(g) for g in uf.groups()), key=lambda c: min(c).sort_key())
+def _components(x: FiniteCode, links) -> Partition:
+    """The partition of x into words joined through ``links``, a symmetric
+    adjacency over the words and helper vertices; classes in the order of
+    their least word."""
+    classes: list[frozenset[Word]] = []
+    seen: set = set()
+    for w in x.sorted_words():
+        if w not in seen:
+            reached = _reachable((w,), links)
+            seen |= reached
+            classes.append(x.words & reached)
     return Partition(x, classes)
+
+
+def characteristic_partition(x: FiniteCode) -> Partition:
+    """The finest coding partition: words joined through the internal
+    nodes of their useful dangling-suffix-graph arcs. Every useful arc lies
+    on a source-to-terminal path, so two words on arcs meeting at a node
+    share a prime relation, directly or through a word on an arc there;
+    the classes are the components of :func:`cooccurrence_pairs`."""
+    _require_nonempty(x)
+    graph = _SuffixGraph(x)
+    code_word = {w.text: w for w in x.words}
+    links = defaultdict(list)
+    for src, dst, ann in graph.arcs:
+        for node in (src, dst):
+            if node != graph.source and node != graph.term:
+                for t in ann:
+                    links[code_word[t]].append(node)
+                    links[node].append(code_word[t])
+    return _components(x, links)
 
 
 def canonical_partition(x: FiniteCode) -> tuple[frozenset[Word], list[frozenset[Word]]]:
@@ -471,7 +474,6 @@ def canonical_partition(x: FiniteCode) -> tuple[frozenset[Word], list[frozenset[
     fine = characteristic_partition(x)
     unambiguous = frozenset(w for c in fine.classes if len(c) == 1 for w in c)
     ta = [c for c in fine.classes if len(c) > 1]
-    ta.sort(key=lambda c: min(c).sort_key())
     return unambiguous, ta
 
 
@@ -489,14 +491,18 @@ def is_coding(x: FiniteCode, p: Partition) -> bool:
     _require_nonempty(x)
     if p.code != x:
         raise PreconditionError("the partition does not partition this code")
-    owner = {}
-    for i, c in enumerate(p.classes):
-        for w in c:
-            owner[w] = i
-    for component in characteristic_partition(x).classes:
-        if len({owner[w] for w in component}) > 1:
-            return False
-    return True
+    return _coarsens(p, characteristic_partition(x).classes)
+
+
+def _owners(p: Partition) -> dict[Word, int]:
+    """The index of the class of p holding each word."""
+    return {w: i for i, c in enumerate(p.classes) for w in c}
+
+
+def _coarsens(p: Partition, classes: Iterable[frozenset[Word]]) -> bool:
+    """Whether each of the classes lies inside a single class of p."""
+    owner = _owners(p)
+    return all(len({owner[w] for w in c}) == 1 for c in classes)
 
 
 def is_totally_ambiguous(x: FiniteCode) -> bool:

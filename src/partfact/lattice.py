@@ -3,14 +3,18 @@
 Every coding partition coarsens the finest one, and every coarsening of
 the finest one is coding, so the lattice is the ordinary partition
 lattice over the classes of the finest coding partition. Meets are
-common coarsenings (overlap components); joins are common refinements
-computed on that quotient.
+common coarsenings: the connected components of the words linked
+through the classes of either operand. Joins are common refinements
+computed on that quotient. Each lattice call builds the finest coding
+partition once and checks both operands against it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .errors import PreconditionError
-from .finite_code import FiniteCode, Partition, _UnionFind, characteristic_partition, is_coding
+from .finite_code import FiniteCode, Partition, _coarsens, _components, _owners, characteristic_partition
 
 MAX_ENUMERABLE_CLASSES = 8  # Bell(9) = 21147 partitions is past useful
 
@@ -20,63 +24,48 @@ def _require_comparable(p1: Partition, p2: Partition) -> None:
         raise PreconditionError("partitions of different codes are not comparable")
 
 
-def _require_coding(p: Partition) -> None:
-    if not is_coding(p.code, p):
+def _fine_classes(p1: Partition, p2: Partition) -> tuple[frozenset, ...]:
+    """The classes of the finest coding partition of the common code,
+    once both operands are checked to coarsen it."""
+    _require_comparable(p1, p2)
+    fine = characteristic_partition(p1.code).classes
+    if not (_coarsens(p1, fine) and _coarsens(p2, fine)):
         raise PreconditionError("operand is not a coding partition")
+    return fine
 
 
 def leq(p1: Partition, p2: Partition) -> bool:
     """True iff p2 refines p1, i.e. every class of p2 lies inside a class
     of p1 (the order in which the trivial partition is least)."""
     _require_comparable(p1, p2)
-    owner = {}
-    for i, c in enumerate(p1.classes):
-        for w in c:
-            owner[w] = i
-    return all(len({owner[w] for w in c}) == 1 for c in p2.classes)
+    return _coarsens(p1, p2.classes)
 
 
 def coding_meet(p1: Partition, p2: Partition) -> Partition:
-    """Greatest lower bound: the finest common coarsening, i.e. connected
-    components of the class-overlap graph."""
-    _require_comparable(p1, p2)
-    _require_coding(p1)
-    _require_coding(p2)
-    uf = _UnionFind(p1.code.words)
-    for p in (p1, p2):
-        for c in p.classes:
-            members = iter(c)
-            first = next(members)
-            for w in members:
-                uf.unite(first, w)
-    classes = sorted((frozenset(g) for g in uf.groups()), key=lambda c: min(c).sort_key())
-    return Partition(p1.code, classes)
+    """Greatest lower bound: the finest common coarsening, i.e. the words
+    joined through the classes of either operand."""
+    _fine_classes(p1, p2)
+    links = defaultdict(list)
+    for k, p in enumerate((p1, p2)):
+        for i, c in enumerate(p.classes):
+            for w in c:
+                links[w].append((k, i))
+                links[(k, i)].append(w)
+    return _components(p1.code, links)
 
 
 def coding_join(p1: Partition, p2: Partition) -> Partition:
     """Least upper bound among coding partitions: the common refinement
     of the partitions induced on the classes of the finest coding
     partition."""
-    _require_comparable(p1, p2)
-    _require_coding(p1)
-    _require_coding(p2)
-    atoms = characteristic_partition(p1.code).classes
-
-    def owner_map(p: Partition):
-        owner = {}
-        for i, c in enumerate(p.classes):
-            for w in c:
-                owner[w] = i
-        return owner
-
-    o1, o2 = owner_map(p1), owner_map(p2)
-    groups = {}
+    atoms = _fine_classes(p1, p2)
+    o1, o2 = _owners(p1), _owners(p2)
+    groups = {}  # the atoms come in the order of their least word, so do the groups
     for atom in atoms:
         probe = next(iter(atom))  # atoms never straddle coding classes
         key = (o1[probe], o2[probe])
         groups.setdefault(key, set()).update(atom)
-    classes = sorted((frozenset(g) for g in groups.values()), key=lambda c: min(c).sort_key())
-    return Partition(p1.code, classes)
+    return Partition(p1.code, groups.values())
 
 
 def _set_partitions(items: list):

@@ -190,34 +190,17 @@ def extension_witness(x: RegularCode) -> Optional[Word]:
 # Block parsers: unique decipherability and coding partitions
 
 
-def _deterministic_class(lang: Fsa) -> Fsa:
-    d = A.minimize(lang)
-    if len(d.initial) != 1:
-        raise AssertionError("minimized acceptor should have one initial state")
-    return d
-
-
-def _word_parser(x: RegularCode) -> Fsa:
-    """Parser whose accepting runs are the factorizations of a message
-    into code words: the deterministic acceptor of X with a spontaneous
-    boundary move from each accepting state back to the start."""
-    d = _deterministic_class(x.lang)
-    init = next(iter(d.initial))
-    trans = list(d.transitions) + [(f, None, init) for f in d.accepting]
-    return Fsa(d.alphabet, d.n_states, trans, (init,), d.accepting)
-
-
-def _block_parser(p: RegularPartition) -> Fsa:
+def _block_parser(classes: Sequence[Fsa]) -> Fsa:
     """Parser whose accepting runs are the block factorizations for the
-    partition: one deterministic acceptor per class language X_i+, with
-    spontaneous moves from accepting configurations of class i into the
-    start of every class j != i.
+    partition into the given classes: one deterministic acceptor per class
+    language X_i+, with spontaneous moves from accepting configurations of
+    class i into the start of every class j != i.
 
     Class acceptors are determinized first so that different splittings
     of one block into class words do not create spurious runs.
     """
-    dfas = [_deterministic_class(A.plus(c)) for c in p.classes]
-    alphabet = p.code.alphabet
+    dfas = [A.minimize(A.plus(c)) for c in classes]
+    alphabet = classes[0].alphabet
     offset = [1]
     for d in dfas[:-1]:
         offset.append(offset[-1] + d.n_states)
@@ -241,28 +224,28 @@ def _block_parser(p: RegularPartition) -> Fsa:
 
 def regular_is_ud(x: RegularCode) -> bool:
     """Unique decipherability, decided by run-uniqueness of the parser
-    that reads one code word at a time through the deterministic acceptor
-    of X and marks each boundary with a spontaneous move."""
-    return A.is_unambiguous(_word_parser(x))
+    that reads one code word at a time through the minimal acceptor of X
+    and marks each boundary with a spontaneous move back to its start."""
+    return A.is_unambiguous(A.plus(A.minimize(x.lang)))
 
 
 def ud_ambiguity_witness(x: RegularCode) -> Optional[Word]:
     """A message with two distinct factorizations into code words; None
     when the code is uniquely decipherable."""
-    return A.ambiguity_witness(_word_parser(x))
+    return A.ambiguity_witness(A.plus(A.minimize(x.lang)))
 
 
 def regular_is_coding(p: RegularPartition) -> bool:
     """Decide whether the partition is coding: accepting runs of the
     block parser are in bijection with block factorizations, so the
     partition is coding iff the parser is run-unambiguous."""
-    return A.is_unambiguous(_block_parser(p))
+    return A.is_unambiguous(_block_parser(p.classes))
 
 
 def coding_ambiguity_witness(p: RegularPartition) -> Optional[Word]:
     """A message with two distinct block factorizations; None when the
     partition is coding."""
-    return A.ambiguity_witness(_block_parser(p))
+    return A.ambiguity_witness(_block_parser(p.classes))
 
 
 def free_product_check(monoids: Sequence[RegularMonoid]) -> bool:
@@ -280,11 +263,7 @@ def free_product_check(monoids: Sequence[RegularMonoid]) -> bool:
         for j in range(i + 1, len(bases)):
             if not A.is_empty(A.intersection(bases[i].lang, bases[j].lang)):
                 return False
-    whole = bases[0].lang
-    for b in bases[1:]:
-        whole = A.union(whole, b.lang)
-    partition = RegularPartition(RegularCode(whole), tuple(b.lang for b in bases))
-    return regular_is_coding(partition)
+    return A.is_unambiguous(_block_parser([b.lang for b in bases]))
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,25 @@ def test_oracle_merges_respected_by_characteristic_partition():
             assert owner[u] == owner[v], (code, u, v)
 
 
+def test_characteristic_classes_are_cooccurrence_components():
+    # the finest partition is read off the suffix graph without pairs, so
+    # rebuild its classes from the exact pairs: neither over- nor under-merged
+    rng = random.Random(4242)
+    merged = 0
+    for _ in range(400):
+        code = random_finite_code(rng)
+        component = {w: frozenset([w]) for w in code.words}
+        for u, v in cooccurrence_pairs(code):
+            joined = component[u] | component[v]
+            for w in joined:
+                component[w] = joined
+        expected = sorted(set(component.values()), key=lambda c: min(c).sort_key())
+        fine = characteristic_partition(code)
+        assert list(fine.classes) == expected, code
+        merged += any(len(c) > 1 for c in fine.classes)
+    assert merged >= 100
+
+
 def test_characteristic_merges_witnessed_by_relations():
     rng = random.Random(555)
     for _ in range(40):

@@ -264,7 +264,7 @@ def test_example1_block_parser_is_unambiguous_by_run_counting():
     from partfact import canonical_coding_partition
     from partfact.regular import _block_parser
 
-    parser = _block_parser(RegularPartition.from_finite(canonical_coding_partition(EXAMPLE1)))
+    parser = _block_parser(RegularPartition.from_finite(canonical_coding_partition(EXAMPLE1)).classes)
     assert A.is_unambiguous(parser)
     assert not has_ambiguous_word(parser, 8)
 
