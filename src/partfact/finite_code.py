@@ -425,12 +425,8 @@ def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:
     """Pairs of distinct code words appearing together in some prime
     relation; exact, with no bound on the relation length."""
     _require_nonempty(x)
-    graph = _SuffixGraph(x)
-    out = set()
-    for u, v in graph.cooccurring_text_pairs():
-        wu, wv = x.alphabet.word(u), x.alphabet.word(v)
-        out.add((wu, wv) if wu < wv else (wv, wu))
-    return out
+    word = {w.text: w for w in x.words}
+    return {tuple(sorted((word[u], word[v]))) for u, v in _SuffixGraph(x).cooccurring_text_pairs()}
 
 
 def _components(x: FiniteCode, links) -> Partition:

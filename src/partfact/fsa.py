@@ -8,14 +8,17 @@ transition as a distinct run step.
 
 Constructions that can blow up (subset construction, products) abort
 with :class:`StateCapExceededError` once they would allocate more states
-than the configured cap.
+than the configured cap. ``intersection`` counts (state, state) pairs;
+``difference`` and the comparisons (``includes``, ``equivalent``,
+``is_universal``, ``shortest_word``) count (state, subset) pairs of one
+walk, and the comparisons stop at their first counterexample.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from functools import reduce
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Optional
 
 from .errors import (
@@ -222,12 +225,18 @@ def _bfs(seeds: Iterable, succ):
                 yield queue[-1]
 
 
+def _moves(g: Fsa) -> dict:
+    """``(state, symbol) -> targets`` in transition order."""
+    moves = defaultdict(list)
+    for p, a, q in g.transitions:
+        moves[(p, a)].append(q)
+    return moves
+
+
 def _subset_step(g: Fsa):
     """Move function of the subset construction over a spontaneous-move-free
     acceptor: ``step(subset, c)`` is the set of states reached on ``c``."""
-    moves = defaultdict(set)
-    for p, a, q in g.transitions:
-        moves[(p, a)].add(q)
+    moves = _moves(g)
 
     def step(subset: frozenset, c: str) -> frozenset:
         return frozenset(q for p in subset for q in moves.get((p, c), ()))
@@ -235,34 +244,52 @@ def _subset_step(g: Fsa):
     return step
 
 
-def _product(a: Fsa, b: Fsa) -> tuple[dict[tuple[int, int], int], list]:
-    """Lockstep walk of two spontaneous-move-free acceptors from their
-    initial state pairs. Returns the reachable pairs numbered in discovery
-    order and the transitions between those numbers."""
-    amoves = defaultdict(list)
-    for p, c, q in set(a.transitions):
-        amoves[(p, c)].append(q)
-    bmoves = defaultdict(list)
-    for p, c, q in set(b.transitions):
-        bmoves[(p, c)].append(q)
-    index: dict[tuple[int, int], int] = {}
-    for p in a.initial:
-        for q in b.initial:
-            index.setdefault((p, q), len(index))
-    queue = deque(index)
-    trans = []
+def _product(a: Fsa, starts, step, moves: Optional[list] = None):
+    """Breadth-first lockstep walk of the spontaneous-move-free acceptor
+    ``a`` against a right side given by its start nodes and
+    ``step(node, c)``, the nodes it reaches on ``c``. Yields each pair
+    ``(state, node)`` once, when first reached, with the shortlex-least
+    word reaching it; the pairs first reached by one word are expanded
+    together, a symbol at a time, so the words come in shortlex order.
+    Pairs are numbered in that order, the start pairs (the only ones
+    reached by the empty word) first; ``moves`` collects the
+    ``(src, c, dst)`` moves between the numbers."""
+    amoves = _moves(a)
+    index: dict = {}
+    queue = deque([("", [(p, s) for p in a.initial for s in starts])])
+    for pair in queue[0][1]:
+        _check_cap(len(index) + 1)
+        index[pair] = len(index)
+        yield pair, ""
     while queue:
-        p, q = queue.popleft()
-        src = index[(p, q)]
-        for c in a.alphabet.symbols:
-            for p2 in amoves.get((p, c), ()):
-                for q2 in bmoves.get((q, c), ()):
-                    if (p2, q2) not in index:
+        word, group = queue.popleft()
+        for c in a.alphabet.symbols:  # declared order gives shortlex
+            fresh = []
+            for p, s in group:
+                targets = amoves.get((p, c))
+                for pair in product(targets, step(s, c)) if targets else ():
+                    if pair not in index:
                         _check_cap(len(index) + 1)
-                        index[(p2, q2)] = len(index)
-                        queue.append((p2, q2))
-                    trans.append((src, c, index[(p2, q2)]))
-    return index, trans
+                        index[pair] = len(index)
+                        fresh.append(pair)
+                        yield pair, word + c
+                    if moves is not None:
+                        moves.append((index[(p, s)], c, index[pair]))
+            if fresh:
+                queue.append((word + c, fresh))
+
+
+def _subset_walk(l: Fsa, r: Fsa, moves: Optional[list] = None):
+    """The walk of ``l``'s states against the subset construction of
+    ``r``, where the empty subset stands for the sink. Yields each pair's
+    word and whether it is a witness there: a word that the pair's state
+    accepts in ``l`` and its subset rejects in ``r``."""
+    _require_same_alphabet(l, r)
+    a = eliminate_epsilon(l)
+    b = eliminate_epsilon(r)
+    step = _subset_step(b)
+    for (p, subset), word in _product(a, [frozenset(b.initial)], lambda t, c: (step(t, c),), moves):
+        yield word, p in a.accepting and not subset & b.accepting
 
 
 # ---------------------------------------------------------------------------
@@ -406,30 +433,19 @@ def intersection(l: Fsa, r: Fsa) -> Fsa:
     _require_same_alphabet(l, r)
     a = eliminate_epsilon(l)
     b = eliminate_epsilon(r)
-    if a.n_states == 0 or b.n_states == 0:
-        return empty_fsa(l.alphabet)
-    index, trans = _product(a, b)
-    acc = [i for (p, q), i in index.items() if p in a.accepting and q in b.accepting]
-    return trim(Fsa(l.alphabet, len(index), trans, (index[pq] for pq in index if pq[0] in a.initial and pq[1] in b.initial), acc))
-
-
-def complement(f: Fsa) -> Fsa:
-    d = determinize(f)
-    if d.n_states == 0:
-        return full_language_fsa(d.alphabet)
-    symbols = d.alphabet.symbols
-    sink = d.n_states  # takes every missing move; added only if one is missing
-    present = {(p, a) for p, a, _q in d.transitions}
-    missing = [(p, c, sink) for p in range(sink) for c in symbols if (p, c) not in present]
-    if missing:
-        missing += [(sink, c, sink) for c in symbols]
-    n = sink + 1 if missing else sink
-    return trim(Fsa(d.alphabet, n, d.transitions + tuple(missing), d.initial, set(range(n)) - d.accepting))
+    bmoves = _moves(b)
+    moves: list = []
+    pairs = [pair for pair, _word in _product(a, b.initial, lambda q, c: bmoves.get((q, c), ()), moves)]
+    acc = [i for i, (p, q) in enumerate(pairs) if p in a.accepting and q in b.accepting]
+    return trim(Fsa(l.alphabet, len(pairs), moves, range(len(a.initial) * len(b.initial)), acc))
 
 
 def difference(l: Fsa, r: Fsa) -> Fsa:
-    _require_same_alphabet(l, r)
-    return intersection(l, complement(r))
+    moves: list = []
+    walk = list(_subset_walk(l, r, moves))
+    init = [i for i, (word, _witness) in enumerate(walk) if not word]
+    acc = [i for i, (_word, witness) in enumerate(walk) if witness]
+    return trim(Fsa(l.alphabet, len(walk), moves, init, acc))
 
 
 def concat(l: Fsa, r: Fsa) -> Fsa:
@@ -472,13 +488,12 @@ def is_empty(f: Fsa) -> bool:
 
 
 def is_universal(f: Fsa) -> bool:
-    return is_empty(complement(f))
+    return includes(f, full_language_fsa(f.alphabet))
 
 
 def includes(l: Fsa, r: Fsa) -> bool:
     """True iff the language of ``l`` contains the language of ``r``."""
-    _require_same_alphabet(l, r)
-    return is_empty(intersection(r, complement(l)))
+    return not any(witness for _word, witness in _subset_walk(r, l))
 
 
 def equivalent(l: Fsa, r: Fsa) -> bool:
@@ -487,21 +502,8 @@ def equivalent(l: Fsa, r: Fsa) -> bool:
 
 def shortest_word(f: Fsa) -> Optional[Word]:
     """Shortlex-least accepted word, or None when the language is empty."""
-    g = eliminate_epsilon(f)
-    if g.n_states == 0:
-        return None
-    step = _subset_step(g)
-
-    def succ(subset: frozenset):
-        for c in g.alphabet.symbols:  # declared order gives shortlex
-            target = step(subset, c)
-            if target:
-                yield c, target
-
-    for subset, word in _bfs([(frozenset(g.initial), "")], succ):
-        if subset & g.accepting:
-            return Word(g.alphabet, word)
-    return None
+    word = next((word for word, witness in _subset_walk(f, empty_fsa(f.alphabet)) if witness), None)
+    return None if word is None else Word(f.alphabet, word)
 
 
 def enumerate_finite_language(f: Fsa) -> list[Word]:

@@ -1,5 +1,8 @@
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -129,7 +132,7 @@ def test_closure_examples():
     abc = Alphabet("abc")
     fc = A.factor_closure(A.word_fsa(abc.word("abc")))
     assert language_set(fc, 3) == {"", "a", "b", "c", "ab", "bc", "abc"}
-    assert A.is_empty(A.complement(rx("(a|b)*")))
+    assert A.is_empty(A.difference(A.full_language_fsa(AB), rx("(a|b)*")))
     st = A.star(A.word_set_fsa(AB, AB.words(["aa", "ba"])))
     assert not A.accepts(st, "abab")
     assert lang(st, 4) == {"", "aa", "ba", "aaaa", "aaba", "baaa", "baba"}
@@ -148,7 +151,12 @@ def test_shortest_word():
     assert A.shortest_word(A.plus(rx("aa"))).text == "aa"
     assert A.shortest_word(A.empty_fsa(AB)) is None
     st = A.star(A.word_set_fsa(AB, AB.words(["aa", "ba"])))
-    assert A.shortest_word(A.complement(A.factor_closure(st))).text == "bb"
+    assert A.shortest_word(A.difference(A.full_language_fsa(AB), A.factor_closure(st))).text == "bb"
+    # one word reaches several states; the later one leads to the least word
+    assert A.shortest_word(Fsa(AB, 4, [(0, "b", 2), (1, "a", 3)], (0, 1), (2, 3))).text == "a"
+    nfa = Fsa(AB, 5, [(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "a", 4)], (0,), (3, 4))
+    assert A.shortest_word(nfa).text == "aa"
+    assert A.shortest_word(A.difference(nfa, rx("aa"))).text == "ab"
 
 
 def test_shortest_word_respects_alphabet_order():
@@ -177,7 +185,7 @@ def test_constructions_match_set_expressions():
             star_set |= {u + v for u in star_set for v in s1 if len(u + v) <= 6}
         assert lang(A.star(f1)) == star_set
         assert lang(A.plus(f1)) == {w for w in star_set if w or "" in s1}
-        assert lang(A.complement(f1)) == set(all_texts(AB, 6)) - s1
+        assert lang(A.difference(A.full_language_fsa(AB), f1)) == set(all_texts(AB, 6)) - s1
 
 
 def test_factor_closure_matches_sandwich_test():
@@ -212,9 +220,37 @@ def test_random_fsa_boolean_ops():
 
 def test_double_complement_round_trip():
     rng = random.Random(5)
+    sigma_star = A.full_language_fsa(AB)
     for _ in range(30):
         f = random_fsa(rng, AB)
-        assert A.equivalent(A.complement(A.complement(f)), f)
+        assert A.equivalent(A.difference(sigma_star, A.difference(sigma_star, f)), f)
+
+
+_SEEDED_PRODUCTS = """
+import json, random
+from conftest import random_fsa
+from partfact import Alphabet
+from partfact import fsa as A
+rng = random.Random(17)
+ab = Alphabet("ab")
+out = []
+for _ in range(200):
+    f, g = random_fsa(rng, ab), random_fsa(rng, ab)
+    for h in (A.intersection(f, g), A.difference(f, g)):
+        out.append([h.n_states, h.transitions, sorted(h.initial), sorted(h.accepting)])
+print(json.dumps(out))
+"""
+
+
+def test_products_do_not_depend_on_string_hashing():
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(A.__file__)), os.path.dirname(__file__)])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _SEEDED_PRODUCTS], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_factor_closure_properties():
@@ -315,11 +351,17 @@ def test_run_counting_counts_epsilon_routes():
 
 
 def test_state_cap():
+    q4e = A.eliminate_epsilon(rx("(a|b)*a(a|b)(a|b)(a|b)(a|b)"))  # 12 states
     old = A.state_cap()
     try:
         A.set_state_cap(8)
         with pytest.raises(StateCapExceededError):
             A.determinize(rx("(a|b)*a(a|b)(a|b)(a|b)(a|b)"))
+        A.set_state_cap(20)
+        with pytest.raises(StateCapExceededError):
+            A.includes(q4e, q4e)  # a true inclusion walks every pair
+        with pytest.raises(StateCapExceededError):
+            A.difference(A.full_language_fsa(AB), q4e)
     finally:
         A.set_state_cap(old)
     with pytest.raises(InputError):

@@ -106,6 +106,16 @@ def test_base_examples():
     assert finite_texts(base(m).lang) == ["00", "01", "10", "11"]
     m = RegularMonoid.generated_by(code_words(ZO, ["0", "01", "11"]))
     assert finite_texts(base(m).lang) == ["0", "01", "11"]
+    # ((a|b)*a(a|b)^n)*: the subset blow-up family at n = 11
+    n = 11
+    m = RegularMonoid.generated_by(code_rx("(a|b)*a" + "(a|b)" * n))
+    b = base(m).lang
+    assert b.n_states == 5119
+    rng = random.Random(23)
+    for _ in range(200):
+        t = "".join(rng.choice("ab") for _ in range(rng.randint(n + 1, 3 * n + 3)))
+        split = any(A.accepts(m.lang, t[:i]) and A.accepts(m.lang, t[i:]) for i in range(1, len(t)))
+        assert A.accepts(b, t) == (A.accepts(m.lang, t) and not split)
 
 
 def test_base_of_trivial_monoid():
