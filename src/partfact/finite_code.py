@@ -9,12 +9,20 @@ linked through the internal nodes of their useful arcs, which are the
 components of word co-occurrence in prime relations. Pairwise
 co-occurrence (:func:`cooccurrence_pairs`) is computed by a separate
 reachability pass and stays as an exact cross-check.
+
+No step scans the whole code. An index over the sorted code texts finds
+the words a residual starts with (one probe per distinct word length)
+and the words that extend it (one bisect run), so the graph is built
+output-sensitively. The relation search walks the graph's useful arcs,
+pruned by each node's distance to the terminal, and
+:func:`p_factorize` probes each message position once per word length.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from bisect import bisect_right
+from collections import defaultdict
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AlphabetMismatchError, InputError, PreconditionError
@@ -235,40 +243,62 @@ class PFactorization(_Frozen):
 # source-to-terminal path using an arc of each annotation?
 
 
+class _CodeIndex:
+    """The sorted code texts, indexed so that a residual finds the words
+    comparable with it without a scan over the whole code."""
+
+    def __init__(self, words: list[str]):
+        self.words = words
+        self.text = {w: w for w in words}
+        self.lengths = sorted({len(w) for w in words})
+
+    def extensions(self, u: str) -> list[str]:
+        """The words properly extending u, in sorted order: one run just
+        past u."""
+        words = self.words
+        i = j = bisect_right(words, u)
+        while j < len(words) and words[j].startswith(u):
+            j += 1
+        return words[i:j]
+
+    def comparable(self, u: str) -> list[str]:
+        """The words u starts with (u itself included), then the words
+        extending u: together, in sorted order, every word that is a
+        prefix of u or has u as a prefix. Prefixes are probed once per
+        distinct word length."""
+        prefixes = [self.text.get(u[:m]) for m in self.lengths if m <= len(u)]
+        return [w for w in prefixes if w is not None] + self.extensions(u)
+
+
 class _SuffixGraph:
     def __init__(self, code: FiniteCode):
-        words = sorted({w.text for w in code.words})
-        init_arcs = []  # (residual, (x, y)) with y = x·residual
-        for i, x in enumerate(words):
-            for y in words:
-                if x != y and y.startswith(x):
-                    init_arcs.append((y[len(x):], (x, y)))
+        index = _CodeIndex(sorted({w.text for w in code.words}))
+        # (residual, (x, y)) with y = x·residual
+        init_arcs = [(y[len(x):], (x, y)) for x in index.words for y in index.extensions(x)]
         node_ids: dict[str, int] = {}
-        arcs = []  # (src_id, dst_id, (word,)) with dst TERM when residual empties
-        queue = deque()
+        residual: list[str] = []  # node id -> residual; also the breadth-first queue
+        arcs = []  # (src_id, dst_id, (word,)) with dst -1 when the residual empties
 
         def intern(r: str) -> int:
             if r not in node_ids:
-                node_ids[r] = len(node_ids)
-                queue.append(r)
+                node_ids[r] = len(residual)
+                residual.append(r)
             return node_ids[r]
 
         for r, _pair in init_arcs:
             intern(r)
-        while queue:
-            u = queue.popleft()
-            uid = node_ids[u]
-            for w in words:
-                if w == u:
-                    arcs.append((uid, -1, (w,)))  # -1 placeholder for TERM
-                elif u.startswith(w):
-                    arcs.append((uid, intern(u[len(w):]), (w,)))
-                elif w.startswith(u):
-                    arcs.append((uid, intern(w[len(u):]), (w,)))
+        uid = 0
+        while uid < len(residual):
+            u = residual[uid]
+            for w in index.comparable(u):
+                r = u[len(w):] if len(w) <= len(u) else w[len(u):]
+                arcs.append((uid, intern(r) if r else -1, (w,)))
+            uid += 1
 
-        n = len(node_ids)
+        n = len(residual)
         self.term = n
         self.source = n + 1
+        self.residual = residual
         full_arcs = [(self.source, node_ids[r], pair) for r, pair in init_arcs]
         full_arcs += [(src, self.term if dst == -1 else dst, ann) for src, dst, ann in arcs]
 
@@ -280,46 +310,34 @@ class _SuffixGraph:
         useful = _reachable((self.source,), fwd) & _reachable((self.term,), bwd)
         self.has_relation = self.term in useful
         self.arcs = [a for a in full_arcs if a[0] in useful and a[1] in useful]
-        self._residual_len = {node_ids[r]: len(r) for r in node_ids}
-        self._word_len = {w: len(w) for w in words}
 
     def _arc_weight(self, src: int, dst: int, ann: tuple[str, ...]) -> int:
         # Contribution of the arc to the message length: initial arcs start
         # the message with the longer word; an arc where the trailing parse
         # overtakes extends the message by the overhang.
         if src == self.source:
-            return self._word_len[max(ann, key=len)]
-        overhang = self._word_len[ann[0]] - self._residual_len[src]
-        return max(0, overhang)
+            return len(max(ann, key=len))
+        return max(0, len(ann[0]) - len(self.residual[src]))
 
-    def min_message_length(self, targets: Sequence[str] = ()) -> Optional[int]:
-        """Length of the shortest prime-relation message consuming every
-        target word; None when there is none. Dijkstra over (node, set of
-        targets consumed so far)."""
-        if not self.has_relation:
-            return None
-        full = (1 << len(targets)) - 1
-        out = defaultdict(list)
+    def to_end(self) -> dict[int, int]:
+        """The fewest letters a relation still adds from each useful node
+        to the terminal: one backward Dijkstra over the useful arcs. The
+        value at the source is the shortest relation message length."""
+        into = defaultdict(list)
         for src, dst, ann in self.arcs:
-            bits = sum(1 << i for i, t in enumerate(targets) if t in ann)
-            out[src].append((dst, ann, bits))
-        dist = {(self.source, 0): 0}
-        heap = [(0, self.source, 0)]
+            into[dst].append((src, self._arc_weight(src, dst, ann)))
+        dist = {self.term: 0}
+        heap = [(0, self.term)]
         while heap:
-            d, node, mask = heapq.heappop(heap)
-            if dist[(node, mask)] != d:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
                 continue
-            if node == self.term:
-                if mask == full:
-                    return d
-                continue
-            for dst, ann, bits in out[node]:
-                nd = d + self._arc_weight(node, dst, ann)
-                nm = mask | bits
-                if nd < dist.get((dst, nm), float("inf")):
-                    dist[(dst, nm)] = nd
-                    heapq.heappush(heap, (nd, dst, nm))
-        return None
+            for src, weight in into[node]:
+                nd = d + weight
+                if src not in dist or nd < dist[src]:
+                    dist[src] = nd
+                    heapq.heappush(heap, (nd, src))
+        return dist
 
     def cooccurring_text_pairs(self) -> set[tuple[str, str]]:
         # Two words co-occur when an arc of one leaves a node reachable
@@ -344,6 +362,54 @@ class _SuffixGraph:
         return pairs
 
 
+def _relation_texts(graph: _SuffixGraph, to_end: dict[int, int], max_message_len: int) -> list:
+    """(left parts, right parts, message) of every prime relation whose
+    message has at most max_message_len letters, for a graph with a
+    relation and its :meth:`_SuffixGraph.to_end` distances.
+
+    Depth-first along the useful arcs from the source over the states
+    (node, behind, ahead, swapped, msg): ``behind`` is the trailing side,
+    which takes each arc's word, and ``swapped`` says that it is the right
+    side. A word shorter than the residual leaves the same side behind; a
+    longer one overtakes, and the message grows by the new residual. The
+    left side begins with the shorter first word, hence is the shortlex
+    smaller one. A state is dropped once the letters it must still add
+    take the message past the bound."""
+    out = defaultdict(list)
+    for src, dst, ann in graph.arcs:
+        out[src].append((dst, ann))
+    residual = graph.residual
+    found = []
+    stack = [(dst, (x,), (y,), False, y) for dst, (x, y) in out[graph.source]
+             if len(y) + to_end[dst] <= max_message_len]
+    while stack:
+        node, behind, ahead, swapped, msg = stack.pop()
+        for dst, (w,) in out[node]:
+            if dst == graph.term:
+                found.append((ahead, behind + (w,), msg) if swapped else (behind + (w,), ahead, msg))
+            elif len(w) < len(residual[node]):
+                if len(msg) + to_end[dst] <= max_message_len:
+                    stack.append((dst, behind + (w,), ahead, swapped, msg))
+            elif len(msg) + len(residual[dst]) + to_end[dst] <= max_message_len:
+                stack.append((dst, ahead, behind + (w,), not swapped, msg + residual[dst]))
+    return found
+
+
+def _prime_relations(x: FiniteCode, found) -> list[PrimeRelation]:
+    """The relations of :func:`_relation_texts` sorted by message, then by
+    the two part sequences."""
+    # one Word per code word and per message, for the sort keys and the output
+    code_word = {w.text: w for w in x.words}
+    rels = [(x.alphabet.word(msg), [code_word[t] for t in left], [code_word[t] for t in right])
+            for left, right, msg in found]
+
+    def keys(words):
+        return tuple(w.sort_key() for w in words)
+
+    rels.sort(key=lambda rel: (rel[0].sort_key(), keys(rel[1]), keys(rel[2])))
+    return [PrimeRelation(Factorization(m, left), Factorization(m, right)) for m, left, right in rels]
+
+
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -358,9 +424,8 @@ def sp_is_ud(x: FiniteCode) -> tuple[bool, Optional[PrimeRelation]]:
     graph = _SuffixGraph(x)
     if not graph.has_relation:
         return True, None
-    bound = graph.min_message_length()
-    relations = enumerate_prime_relations(x, bound)
-    return False, relations[0]
+    to_end = graph.to_end()
+    return False, _prime_relations(x, _relation_texts(graph, to_end, to_end[graph.source]))[0]
 
 
 def enumerate_prime_relations(x: FiniteCode, max_message_len: int) -> list[PrimeRelation]:
@@ -373,52 +438,10 @@ def enumerate_prime_relations(x: FiniteCode, max_message_len: int) -> list[Prime
     _require_nonempty(x)
     if max_message_len < 1:
         raise PreconditionError("the message length bound must be at least 1")
-    strs = sorted({w.text for w in x.words})
-    alphabet = x.alphabet
-    found: list[tuple[tuple[str, ...], tuple[str, ...], str]] = []
-
-    # Depth-first over the states (parts0, parts1, behind0, blen, msg).
-    # parts0 always begins with the shorter first word, hence is the
-    # shortlex-smaller side; behind0 says which side still trails, and
-    # msg[blen:] is the residual by which the other side leads.
-    stack = [
-        ((xs,), (ys,), True, len(xs), ys)
-        for xs in strs
-        for ys in strs
-        if xs != ys and ys.startswith(xs) and len(ys) <= max_message_len
-    ]
-    while stack:
-        parts0, parts1, behind0, blen, msg = stack.pop()
-        residual = msg[blen:]
-        for w in strs:
-            if w == residual:
-                left = parts0 + (w,) if behind0 else parts0
-                right = parts1 if behind0 else parts1 + (w,)
-                found.append((left, right, msg))
-            elif residual.startswith(w):
-                if behind0:
-                    stack.append((parts0 + (w,), parts1, True, blen + len(w), msg))
-                else:
-                    stack.append((parts0, parts1 + (w,), False, blen + len(w), msg))
-            elif w.startswith(residual):
-                ext = w[len(residual):]
-                if len(msg) + len(ext) > max_message_len:
-                    continue
-                if behind0:
-                    stack.append((parts0 + (w,), parts1, False, len(msg), msg + ext))
-                else:
-                    stack.append((parts0, parts1 + (w,), True, len(msg), msg + ext))
-
-    # one Word per code word and per message, for the sort keys and the output
-    code_word = {w.text: w for w in x.words}
-    rels = [(alphabet.word(msg), [code_word[t] for t in left], [code_word[t] for t in right])
-            for left, right, msg in found]
-
-    def keys(words):
-        return tuple(w.sort_key() for w in words)
-
-    rels.sort(key=lambda rel: (rel[0].sort_key(), keys(rel[1]), keys(rel[2])))
-    return [PrimeRelation(Factorization(m, left), Factorization(m, right)) for m, left, right in rels]
+    graph = _SuffixGraph(x)
+    if not graph.has_relation:
+        return []
+    return _prime_relations(x, _relation_texts(graph, graph.to_end(), max_message_len))
 
 
 def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:
@@ -518,16 +541,21 @@ def p_factorize(w: Word, p: Partition) -> PFactorization:
         raise PreconditionError("the partition is not a coding partition")
     text = w.text
     n = len(text)
-    words = [(v.text, k) for k, c in enumerate(p.classes) for v in c]
+    owner = {v.text: k for k, c in enumerate(p.classes) for v in c}
+    lengths = sorted({len(t) for t in owner})
     # back[j] = (i, k): text[i:j] is a word of class k and text[:i] is a
     # message. A coding partition gives a message one block factorization,
     # so any chain of back links spells it once runs of one class merge.
+    # The words at i are probed once per distinct word length.
     back: dict[int, Optional[tuple[int, int]]] = {0: None}
     for i in range(n):
         if i in back:
-            for t, k in words:
-                if text.startswith(t, i):
-                    back.setdefault(i + len(t), (i, k))
+            for m in lengths:
+                if i + m > n:
+                    break
+                k = owner.get(text[i:i + m])
+                if k is not None:
+                    back.setdefault(i + m, (i, k))
     if n not in back:
         raise PreconditionError(f"{text!r} is not a message of this code")
     spans = []  # (class, start, end) of the blocks, last block first

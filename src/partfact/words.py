@@ -65,7 +65,7 @@ class Alphabet(_Frozen):
         return len(self.symbols)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
+        return self is other or (isinstance(other, Alphabet) and self.symbols == other.symbols)
 
     def __hash__(self) -> int:
         return hash(self.symbols)
@@ -116,15 +116,19 @@ class Word(_Frozen):
         return not self.text
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.alphabet == other.alphabet and self.text == other.text
+        return self is other or (
+            isinstance(other, Word) and self.text == other.text and self.alphabet == other.alphabet
+        )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.text))
+        # equal words have equal texts
+        return hash(self.text)
 
     def __lt__(self, other: "Word") -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        _require_same_alphabet(self.alphabet, other.alphabet)
+        if self.alphabet is not other.alphabet:
+            _require_same_alphabet(self.alphabet, other.alphabet)
         return self._key < other._key
 
     def __add__(self, other: "Word") -> "Word":

@@ -1,14 +1,16 @@
-"""Test-only helpers: a bounded brute-force oracle for finite codes,
-a bounded word enumerator for acceptors, and an audit bound for the
-co-occurrence analysis.
+"""Test-only helpers: a bounded brute-force oracle and relation search
+for finite codes, a bounded word enumerator for acceptors, and an audit
+bound for the co-occurrence analysis.
 
-The brute-force oracle shares no code with the exact analyses in
-``partfact.finite_code``, so the tests can use it as independent ground
-truth.
+The brute-force oracle and relation search share no code with the
+exact analyses in ``partfact.finite_code``, so the tests can use them as
+independent ground truth.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from typing import Optional, Sequence
 
 from partfact import FiniteCode, PreconditionError, Word
@@ -46,7 +48,31 @@ def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]
     exactness of ``characteristic_partition``."""
     if not x.words:
         raise PreconditionError("analysis of the empty code is undefined")
-    return _SuffixGraph(x).min_message_length((u.text, v.text))
+    # Dijkstra over (node, set of the two words consumed so far)
+    graph = _SuffixGraph(x)
+    targets = (u.text, v.text)
+    full = (1 << len(targets)) - 1
+    out = defaultdict(list)
+    for src, dst, ann in graph.arcs:
+        bits = sum(1 << i for i, t in enumerate(targets) if t in ann)
+        out[src].append((dst, ann, bits))
+    dist = {(graph.source, 0): 0}
+    heap = [(0, graph.source, 0)]
+    while heap:
+        d, node, mask = heapq.heappop(heap)
+        if dist[(node, mask)] != d:
+            continue
+        if node == graph.term:
+            if mask == full:
+                return d
+            continue
+        for dst, ann, bits in out[node]:
+            nd = d + graph._arc_weight(node, dst, ann)
+            nm = mask | bits
+            if nd < dist.get((dst, nm), float("inf")):
+                dist[(dst, nm)] = nd
+                heapq.heappush(heap, (nd, dst, nm))
+    return None
 
 
 def brute_force_oracle(x: FiniteCode, max_message_len: int) -> tuple[bool, set[tuple[Word, Word]]]:
@@ -62,12 +88,44 @@ def brute_force_oracle(x: FiniteCode, max_message_len: int) -> tuple[bool, set[t
     always carries a prime relation, and non-prime relations contribute
     no merges beyond those of their prime segments.
     """
+    strs = _checked_texts(x, max_message_len)
+    counts = _message_counts(strs, max_message_len)
+    ud = all(c < 2 for layer in counts for c in layer.values())
+
+    merge_texts: set[tuple[str, str]] = set()
+    for parts_a, parts_b, _m in _relations(counts, strs):
+        support = sorted(set(parts_a) | set(parts_b))
+        for i, u in enumerate(support):
+            for v in support[i + 1:]:
+                merge_texts.add((u, v))
+
+    merges = set()
+    for u, v in merge_texts:
+        wu, wv = x.alphabet.word(u), x.alphabet.word(v)
+        merges.add((wu, wv) if wu < wv else (wv, wu))
+    return ud, merges
+
+
+def brute_force_relations(x: FiniteCode, max_message_len: int) -> set[tuple[tuple[str, ...], tuple[str, ...], str]]:
+    """Every prime relation whose message has at most ``max_message_len``
+    letters, as (left parts, right parts, message) texts, the left side
+    beginning with the shorter word: a search over the messages
+    themselves, independent of the dangling-suffix graph."""
+    strs = _checked_texts(x, max_message_len)
+    return _relations(_message_counts(strs, max_message_len), strs)
+
+
+def _checked_texts(x: FiniteCode, max_message_len: int) -> list[str]:
     if not x.words:
         raise PreconditionError("analysis of the empty code is undefined")
     if max_message_len < 1:
         raise PreconditionError("the message length bound must be at least 1")
-    strs = sorted({w.text for w in x.words})
+    return sorted({w.text for w in x.words})
 
+
+def _message_counts(strs: Sequence[str], max_message_len: int) -> list[dict[str, int]]:
+    """The messages of each length up to the bound, with their numbers of
+    factorizations."""
     by_len: list[dict[str, int]] = [dict() for _ in range(max_message_len + 1)]
     by_len[0][""] = 1
     for length in range(max_message_len):
@@ -78,32 +136,22 @@ def brute_force_oracle(x: FiniteCode, max_message_len: int) -> tuple[bool, set[t
                     layer = by_len[l2]
                     m2 = m + w
                     layer[m2] = layer.get(m2, 0) + c
+    return by_len
 
-    ud = True
-    ambiguous = []
-    for length in range(1, max_message_len + 1):
-        for m, c in by_len[length].items():
-            if c >= 2:
-                ud = False
-                ambiguous.append(m)
 
-    merge_texts: set[tuple[str, str]] = set()
-    for m in ambiguous:
-        for parts_a, parts_b in _prime_pairs_of_message(m, strs):
-            cuts_a = _cuts(parts_a)
-            cuts_b = _cuts(parts_b)
-            if cuts_a & cuts_b:  # defensive: primality re-check
+def _relations(counts: list[dict[str, int]], strs: Sequence[str]) -> set[tuple[tuple[str, ...], tuple[str, ...], str]]:
+    """The prime relations of the ambiguous messages among ``counts``,
+    oriented as in :func:`brute_force_relations`."""
+    rels = set()
+    for layer in counts[1:]:
+        for m, c in layer.items():
+            if c < 2:
                 continue
-            support = sorted(set(parts_a) | set(parts_b))
-            for i, u in enumerate(support):
-                for v in support[i + 1:]:
-                    merge_texts.add((u, v))
-
-    merges = set()
-    for u, v in merge_texts:
-        wu, wv = x.alphabet.word(u), x.alphabet.word(v)
-        merges.add((wu, wv) if wu < wv else (wv, wu))
-    return ud, merges
+            for parts_a, parts_b in _prime_pairs_of_message(m, strs):
+                if _cuts(parts_a) & _cuts(parts_b):  # defensive: primality re-check
+                    continue
+                rels.add((parts_a, parts_b, m) if len(parts_a[0]) < len(parts_b[0]) else (parts_b, parts_a, m))
+    return rels
 
 
 def _cuts(parts: Sequence[str]) -> frozenset[int]:

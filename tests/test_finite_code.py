@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from conftest import random_coding_partition, random_finite_code
-from oracles import brute_force_oracle, cooccurrence_witness_bound
+from oracles import brute_force_oracle, brute_force_relations, cooccurrence_witness_bound
 from partfact import (
     Alphabet,
     Factorization,
@@ -27,6 +28,8 @@ AB = Alphabet("ab")
 ZO = Alphabet("01")
 
 EXAMPLE1 = FiniteCode(ZO, ["00", "0010", "1000", "11", "1111", "010", "011"])
+# three letters past U+00FF, declared out of code-point order
+WIDE = Alphabet("\u0152\u0101\u0140")
 
 
 def texts(ws):
@@ -35,6 +38,10 @@ def texts(ws):
 
 def pair_texts(pairs):
     return sorted((u.text, v.text) for u, v in pairs)
+
+
+def relation_texts(r):
+    return tuple(p.text for p in r.left.parts), tuple(p.text for p in r.right.parts), r.message.text
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +159,70 @@ def test_enumeration_matches_oracle_prime_pairs():
         assert merges == enum_merges, code
         assert all(len(r.message) <= 7 for r in rels)
         assert len({(r.left.parts, r.right.parts) for r in rels}) == len(rels)
+
+
+def test_relations_match_brute_force_search():
+    # declared orders that are not code-point order decide the witness's
+    # tie-breaks, and the search must agree with the message search exactly
+    rng = random.Random(7007)
+    alphabets = [Alphabet("ba"), ZO, WIDE]
+    with_relations = 0
+    for i in range(150):
+        alphabet = alphabets[i % 3]
+        size = rng.randint(5, 12)
+        words = set()
+        while len(words) < size:
+            words.add("".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 6))))
+        code = FiniteCode(alphabet, words)
+        expected = brute_force_relations(code, 7)
+        got = [relation_texts(r) for r in enumerate_prime_relations(code, 7)]
+        assert len(got) == len(set(got)) and set(got) == expected, code
+
+        def shortlex(t):
+            return len(t), [alphabet.rank(c) for c in t]
+
+        def key(rel):
+            left, right, message = rel
+            return shortlex(message), [shortlex(t) for t in left], [shortlex(t) for t in right]
+
+        ud, witness = sp_is_ud(code)
+        if expected:
+            with_relations += 1
+            least = min(expected, key=key)
+            assert got[0] == least
+            assert not ud and relation_texts(witness) == least
+        else:
+            assert ud or len(witness.message) > 7
+    assert with_relations >= 75
+
+
+def _dense_code(rng: random.Random, n: int) -> tuple[list[str], tuple[str, str]]:
+    """n random binary words that contain x, y and xy, the others spread
+    evenly over the lengths 3..16."""
+    x = "".join(rng.choice("01") for _ in range(2))
+    y = "".join(rng.choice("01") for _ in range(3))
+    words = {x, y, x + y}
+    i = 0
+    while len(words) < n:
+        words.add("".join(rng.choice("01") for _ in range(3 + i % 14)))
+        i += 1
+    return sorted(words), (x, y)
+
+
+def test_dense_code_scaling():
+    # every residual lookup is indexed: at 1600 words the two graph builds,
+    # the relation search and the partition take a fraction of a second;
+    # a scan of every word per residual takes about twice the budget
+    texts_, (x, y) = _dense_code(random.Random(1600), 1600)
+    code = FiniteCode(ZO, texts_)
+    start = time.perf_counter()
+    ud, witness = sp_is_ud(code)
+    fine = characteristic_partition(code)
+    elapsed = time.perf_counter() - start
+    assert not ud and witness is not None
+    owners = {fine.class_index_of(ZO.word(t)) for t in (x, y, x + y)}
+    assert len(owners) == 1
+    assert elapsed < 2.5
 
 
 # ---------------------------------------------------------------------------

@@ -133,3 +133,25 @@ def test_unbordered_agrees_with_double_loop(w):
 @given(words, words)
 def test_concatenation_length(u, v):
     assert len(u + v) == len(u) + len(v)
+
+
+@given(texts, texts)
+def test_equal_words_have_equal_hashes(s, t):
+    # the second alphabet is equal to AB but a separate object
+    u = AB.word(s)
+    for v in (Alphabet("ab").word(s), AB.word(t)):
+        assert (u == v) == (s == v.text)
+        if u == v:
+            assert hash(u) == hash(v)
+
+
+def test_words_over_different_alphabets():
+    u, v = AB.word("ab"), Alphabet("ba").word("ab")
+    assert u != v and v != u
+    assert len({u, v}) == 2
+    with pytest.raises(AlphabetMismatchError):
+        u < v
+    with pytest.raises(AlphabetMismatchError):
+        v <= u
+    # a separately built equal alphabet still orders
+    assert AB.word("a") < Alphabet("ab").word("b")
