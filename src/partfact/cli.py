@@ -10,7 +10,6 @@ report. Exit codes: 0 success, 1 false verdict under ``--quiet``,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -474,6 +473,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return path, {"command": args.command, "error": f"internal error: {e}"}, EXIT_INTERNAL
 
     if args.jobs > 1 and len(sources) > 1:
+        import concurrent.futures  # only batches use it; it slows every start
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(analyze, sources))
     else:

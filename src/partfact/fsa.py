@@ -12,12 +12,15 @@ than the configured cap. ``intersection`` counts (state, state) pairs;
 ``difference`` and the comparisons (``includes``, ``equivalent``,
 ``is_universal``, ``shortest_word``) count (state, subset) pairs of one
 walk, and the comparisons stop at their first counterexample.
+
+``concat`` and ``union`` build the binary left fold of any number of
+operands in one pass; :func:`regex_to_fsa` folds each group this way, so
+a word of n letters compiles in time linear in n, not quadratic.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from functools import reduce
 from itertools import chain, product
 from typing import Iterable, Optional
 
@@ -28,7 +31,7 @@ from .errors import (
     RegexSyntaxError,
     StateCapExceededError,
 )
-from .words import Alphabet, Word, _Frozen
+from .words import Alphabet, Word, _Frozen, _require_same_alphabet
 
 DEFAULT_STATE_CAP = 100_000
 
@@ -60,7 +63,7 @@ class Fsa(_Frozen):
     move. States are the integers ``0 .. n_states-1``.
     """
 
-    __slots__ = ("alphabet", "n_states", "transitions", "initial", "accepting", "_adj")
+    __slots__ = ("alphabet", "n_states", "transitions", "initial", "accepting")
 
     def __init__(
         self,
@@ -87,27 +90,19 @@ class Fsa(_Frozen):
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "accepting", acc)
-        object.__setattr__(self, "_adj", None)
 
     def adjacency(self) -> dict[int, list[tuple[Optional[str], int]]]:
-        """state -> list of (label, dst); computed once, duplicates kept."""
-        if self._adj is None:
-            adj: dict[int, list[tuple[Optional[str], int]]] = {s: [] for s in range(self.n_states)}
-            for p, a, q in self.transitions:
-                adj[p].append((a, q))
-            object.__setattr__(self, "_adj", adj)
-        return self._adj
+        """state -> list of (label, dst), duplicates kept."""
+        adj: dict[int, list[tuple[Optional[str], int]]] = {s: [] for s in range(self.n_states)}
+        for p, a, q in self.transitions:
+            adj[p].append((a, q))
+        return adj
 
     def __repr__(self) -> str:
         return (
             f"Fsa(states={self.n_states}, transitions={len(self.transitions)}, "
             f"initial={sorted(self.initial)}, accepting={sorted(self.accepting)})"
         )
-
-
-def _require_same_alphabet(l: Fsa, r: Fsa) -> None:
-    if l.alphabet != r.alphabet:
-        raise AlphabetMismatchError(f"mixed alphabets: {l.alphabet} vs {r.alphabet}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +279,7 @@ def _subset_walk(l: Fsa, r: Fsa, moves: Optional[list] = None):
     ``r``, where the empty subset stands for the sink. Yields each pair's
     word and whether it is a witness there: a word that the pair's state
     accepts in ``l`` and its subset rejects in ``r``."""
-    _require_same_alphabet(l, r)
+    _require_same_alphabet(l.alphabet, r.alphabet)
     a = eliminate_epsilon(l)
     b = eliminate_epsilon(r)
     step = _subset_step(b)
@@ -412,25 +407,28 @@ def minimize(f: Fsa) -> Fsa:
     return Fsa(d.alphabet, max(block) + 1, trans, init, acc)
 
 
-def _shift(transitions, by):
-    return [(p + by, a, q + by) for p, a, q in transitions]
-
-
 # ---------------------------------------------------------------------------
 # Boolean and monoid combinations
 
 
-def union(l: Fsa, r: Fsa) -> Fsa:
-    _require_same_alphabet(l, r)
-    n = l.n_states + r.n_states
-    trans = list(l.transitions) + _shift(r.transitions, l.n_states)
-    init = set(l.initial) | {s + l.n_states for s in r.initial}
-    acc = set(l.accepting) | {s + l.n_states for s in r.accepting}
-    return Fsa(l.alphabet, n, trans, init, acc)
+def union(first: Fsa, *rest: Fsa) -> Fsa:
+    """Union of the operands side by side, each numbered after the ones
+    before it; one pass equal to the binary left fold."""
+    if not rest:
+        return first
+    n, trans, init, acc = first.n_states, list(first.transitions), first.initial, first.accepting
+    for f in rest:
+        _require_same_alphabet(first.alphabet, f.alphabet)
+        trans += [(p + n, a, q + n) for p, a, q in f.transitions]
+        # rebuilt as each binary step builds them, so they iterate alike
+        init = frozenset(set(init) | {s + n for s in f.initial})
+        acc = frozenset(set(acc) | {s + n for s in f.accepting})
+        n += f.n_states
+    return Fsa(first.alphabet, n, trans, init, acc)
 
 
 def intersection(l: Fsa, r: Fsa) -> Fsa:
-    _require_same_alphabet(l, r)
+    _require_same_alphabet(l.alphabet, r.alphabet)
     a = eliminate_epsilon(l)
     b = eliminate_epsilon(r)
     bmoves = _moves(b)
@@ -448,12 +446,19 @@ def difference(l: Fsa, r: Fsa) -> Fsa:
     return trim(Fsa(l.alphabet, len(walk), moves, init, acc))
 
 
-def concat(l: Fsa, r: Fsa) -> Fsa:
-    _require_same_alphabet(l, r)
-    n = l.n_states + r.n_states
-    trans = list(l.transitions) + _shift(r.transitions, l.n_states)
-    trans += [(p, None, q + l.n_states) for p in l.accepting for q in r.initial]
-    return Fsa(l.alphabet, n, trans, l.initial, {s + l.n_states for s in r.accepting})
+def concat(first: Fsa, *rest: Fsa) -> Fsa:
+    """Concatenation of the operands, numbered as in :func:`union`; one
+    pass equal to the binary left fold."""
+    if not rest:
+        return first
+    n, trans, acc = first.n_states, list(first.transitions), first.accepting
+    for f in rest:
+        _require_same_alphabet(first.alphabet, f.alphabet)
+        trans += [(p + n, a, q + n) for p, a, q in f.transitions]
+        trans += [(p, None, q + n) for p in acc for q in f.initial]
+        acc = frozenset({s + n for s in f.accepting})
+        n += f.n_states
+    return Fsa(first.alphabet, n, trans, first.initial, acc)
 
 
 def star(f: Fsa) -> Fsa:
@@ -666,13 +671,22 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
 # Regex dialect: parsing and synthesis
 
 
+def _require_regex_alphabet(alphabet: Alphabet, error: type) -> None:
+    """Raise ``error`` when an alphabet symbol is an operator, ``_`` or
+    whitespace, which no regex text can spell as a symbol."""
+    reserved = "".join(s for s in alphabet.symbols if s in "|()*+_" or s.isspace())
+    if reserved:
+        raise error(f"symbols {reserved!r} of alphabet {alphabet} are reserved by the regex dialect")
+
+
 def regex_to_fsa(expr: str, alphabet: Alphabet) -> Fsa:
     """Compile a regex in the library dialect to a trimmed acceptor.
 
     Dialect: single-character symbols, ``|`` union, juxtaposition,
     postfix ``*`` and ``+``, parentheses, ``_`` for the empty word;
-    whitespace ignored.
+    whitespace ignored; none of these can be a symbol (:class:`InputError`).
     """
+    _require_regex_alphabet(alphabet, InputError)
     # One left-to-right pass. Each open group keeps its finished
     # alternatives and the factors of the current one; the factors are
     # folded where the alternative ends, the alternatives where the
@@ -688,10 +702,10 @@ def regex_to_fsa(expr: str, alphabet: Alphabet) -> Fsa:
         if c is None or c in "|)":
             if not factors:
                 raise RegexSyntaxError("expected a symbol, '(', or '_'", pos)
-            alts.append(reduce(concat, factors))
+            alts.append(concat(*factors))
             factors = []
             if c != "|":
-                node = reduce(union, alts)
+                node = union(*alts)
                 if not groups:
                     if c is None:
                         return trim(node)
@@ -774,7 +788,9 @@ def _render(node, level: int = 0) -> str:
 
 
 def fsa_to_regex(f: Fsa) -> Optional[str]:
-    """Regex (library dialect) for the language; None when it is empty."""
+    """Regex (library dialect) for the language; None when it is empty.
+    An alphabet with a reserved symbol raises :class:`PreconditionError`."""
+    _require_regex_alphabet(f.alphabet, PreconditionError)
     g = trim(f)
     if g.n_states == 0:
         return None

@@ -102,10 +102,7 @@ class RegularPartition(_Frozen):
             for j in range(i + 1, len(classes)):
                 if not A.is_empty(A.intersection(classes[i], classes[j])):
                     raise PreconditionError(f"classes {i} and {j} overlap")
-        whole = classes[0]
-        for c in classes[1:]:
-            whole = A.union(whole, c)
-        if not A.equivalent(whole, code.lang):
+        if not A.equivalent(A.union(*classes), code.lang):
             raise PreconditionError("classes do not cover the code exactly")
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "classes", classes)
@@ -201,26 +198,22 @@ def _block_parser(classes: Sequence[Fsa]) -> Fsa:
     of one block into class words do not create spurious runs.
     """
     dfas = [A.minimize(A.plus(c)) for c in classes]
-    alphabet = classes[0].alphabet
-    offset = [1]
-    for d in dfas[:-1]:
-        offset.append(offset[-1] + d.n_states)
-    n = 1 + sum(d.n_states for d in dfas)
-    trans: list[tuple[int, Optional[str], int]] = []
-    inits = []
+    # state 0 is the hub, then each class in turn
+    layout = A.union(Fsa(classes[0].alphabet, 1, (), (), ()), *dfas)
+    inits: list[int] = []
     accs: list[list[int]] = []
-    for i, d in enumerate(dfas):
-        shift = offset[i]
-        trans.extend((pp + shift, a, q + shift) for pp, a, q in d.transitions)
+    shift = 1
+    for d in dfas:
         inits.append(next(iter(d.initial)) + shift)
         accs.append([f + shift for f in d.accepting])
-    for i in range(len(dfas)):
+        shift += d.n_states
+    trans = list(layout.transitions)
+    for i, fs in enumerate(accs):
         trans.append((0, None, inits[i]))
-        for j in range(len(dfas)):
+        for j, q in enumerate(inits):
             if i != j:
-                trans.extend((f, None, inits[j]) for f in accs[i])
-    accepting = [f for fs in accs for f in fs]
-    return Fsa(alphabet, n, trans, (0,), accepting)
+                trans.extend((f, None, q) for f in fs)
+    return Fsa(layout.alphabet, layout.n_states, trans, (0,), [f for fs in accs for f in fs])
 
 
 def regular_is_ud(x: RegularCode) -> bool:
@@ -306,7 +299,7 @@ def lemma2_check(x: RegularCode, w: Word) -> bool:
     if not is_complete(x):
         raise PreconditionError("the code must be complete")
     xs = A.star(x.lang)
-    sandwiched = A.concat(A.concat(xs, A.word_fsa(w)), xs)
+    sandwiched = A.concat(xs, A.word_fsa(w), xs)
     return not A.is_empty(A.intersection(A.plus(sandwiched), xs))
 
 
@@ -332,10 +325,7 @@ def gen_ud(p: RegularPartition, seq: Sequence[int]) -> RegularCode:
         raise PreconditionError("the last class index must differ from the first")
     if not regular_is_coding(p):
         raise PreconditionError("the partition is not a coding partition")
-    result = A.plus(p.classes[seq[0]])
-    for i in seq[1:]:
-        result = A.concat(result, A.plus(p.classes[i]))
-    return RegularCode(A.trim(result))
+    return RegularCode(A.trim(A.concat(*(A.plus(p.classes[i]) for i in seq))))
 
 
 def canonical_free_factorization(m: RegularMonoid) -> tuple[Optional[Fsa], list[Fsa]]:

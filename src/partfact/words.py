@@ -140,14 +140,6 @@ class Word(_Frozen):
     def __repr__(self) -> str:
         return f"Word({self.text!r})"
 
-    def is_prefix_of(self, z: "Word") -> bool:
-        _require_same_alphabet(self.alphabet, z.alphabet)
-        return z.text.startswith(self.text)
-
-    def is_suffix_of(self, z: "Word") -> bool:
-        _require_same_alphabet(self.alphabet, z.alphabet)
-        return z.text.endswith(self.text)
-
 
 def is_factor(u: Word, z: Word) -> bool:
     """True iff z = x u y for some (possibly empty) words x, y."""

@@ -235,6 +235,19 @@ def test_gen_ud(tmp_path):
     assert code == 2  # unparsable sequence
 
 
+def test_reserved_regex_symbol_in_alphabet(tmp_path):
+    # "*" is a symbol here, so no regex can spell the generated language
+    doc = {"alphabet": ["a", "*"], "kind": "finite", "code": ["a", "*"],
+           "partition": {"A": ["a"], "B": ["*"]}}
+    code, _, err = run_cli(["gen-ud", "--seq", "0,1"], files=[doc], tmp_path=tmp_path)
+    assert code == 4, err
+    assert "reserved by the regex dialect" in err
+    assert run_json(["ud"], doc, tmp_path)["verdict"] is True  # finite analyses are unaffected
+    regex_doc = {"alphabet": ["a", "*"], "kind": "regex", "regex": "a"}
+    code, _, _ = run_cli(["ud"], files=[regex_doc], tmp_path=tmp_path)
+    assert code == 2
+
+
 def test_decompose(tmp_path):
     report = run_json(["decompose"], EXAMPLE1_DOC, tmp_path)
     assert report["classes"] == {
@@ -313,6 +326,12 @@ def test_json_reports_are_deterministic(tmp_path):
     assert snapshot() == snapshot()
     parsed = json.loads(snapshot())
     assert list(parsed) == sorted(parsed)  # keys serialized sorted
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    # only --jobs batches use concurrent.futures; every other run saves its import
+    code = "import sys, partfact.cli; assert 'concurrent.futures' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_batch_mode(tmp_path):

@@ -3,12 +3,20 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import all_texts, count_runs, has_ambiguous_word, language_set, random_fsa
 from oracles import enumerate_words
-from partfact import Alphabet, AlphabetMismatchError, InputError, RegexSyntaxError, StateCapExceededError
+from partfact import (
+    Alphabet,
+    AlphabetMismatchError,
+    InputError,
+    PreconditionError,
+    RegexSyntaxError,
+    StateCapExceededError,
+)
 from partfact import fsa as A
 from partfact.fsa import Fsa
 
@@ -34,6 +42,15 @@ def test_regex_examples():
     assert lang(rx("ad*b", ABD), 5) == {"ab", "adb", "addb", "adddb"}
     assert lang(rx("_")) == {""}
     assert lang(rx("(" * 10_000 + "a" + ")" * 10_000)) == {"a"}
+    # a group's factors are folded in one pass: a 20 000-letter word
+    # compiles in a fraction of a second; a fold that copies the prefix
+    # acceptor at every factor takes about a minute
+    text = "".join(random.Random(20_000).choice("ab") for _ in range(20_000))
+    start = time.perf_counter()
+    f = rx(text)
+    elapsed = time.perf_counter() - start
+    assert [w.text for w in enumerate_words(f, len(text))] == [text]
+    assert elapsed < 2.0
 
 
 def test_regex_structure():
@@ -94,6 +111,16 @@ def test_regex_matches_python_re():
         text = _dialect_text(node, rng)
         pattern = re.compile(_python_pattern(node))
         assert lang(rx(text)) == {t for t in texts if pattern.fullmatch(t)}, (text, pattern.pattern)
+
+
+def test_reserved_symbols_are_refused_in_regex_text():
+    star = Alphabet("a*")
+    with pytest.raises(InputError):
+        A.regex_to_fsa("a*", star)
+    f = A.plus(A.word_set_fsa(star, star.words(["a", "*"])))
+    with pytest.raises(PreconditionError):
+        A.fsa_to_regex(f)
+    assert A.enumerate_finite_language(A.word_set_fsa(star, star.words(["*a"])))[0].text == "*a"
 
 
 def test_regex_syntax_errors():
@@ -186,6 +213,39 @@ def test_constructions_match_set_expressions():
         assert lang(A.star(f1)) == star_set
         assert lang(A.plus(f1)) == {w for w in star_set if w or "" in s1}
         assert lang(A.difference(A.full_language_fsa(AB), f1)) == set(all_texts(AB, 6)) - s1
+
+
+def _binary_union(l, r):
+    n = l.n_states
+    trans = list(l.transitions) + [(p + n, a, q + n) for p, a, q in r.transitions]
+    init = set(l.initial) | {s + n for s in r.initial}
+    acc = set(l.accepting) | {s + n for s in r.accepting}
+    return Fsa(l.alphabet, n + r.n_states, trans, init, acc)
+
+
+def _binary_concat(l, r):
+    n = l.n_states
+    trans = list(l.transitions) + [(p + n, a, q + n) for p, a, q in r.transitions]
+    trans += [(p, None, q + n) for p in l.accepting for q in r.initial]
+    return Fsa(l.alphabet, n + r.n_states, trans, l.initial, {s + n for s in r.accepting})
+
+
+def test_nary_folds_match_binary_folds():
+    # n-ary concat and union equal the left fold of the binary
+    # constructions field by field, the iteration order of the initial
+    # and accepting sets included
+    rng = random.Random(44)
+    for _ in range(200):
+        fs = [random_fsa(rng, AB, max_states=rng.choice((5, 40))) for _ in range(rng.randint(1, 4))]
+        for op, binary in ((A.concat, _binary_concat), (A.union, _binary_union)):
+            folded = fs[0]
+            for f in fs[1:]:
+                folded = binary(folded, f)
+            got = op(*fs)
+            assert got.n_states == folded.n_states
+            assert got.transitions == folded.transitions
+            assert tuple(got.initial) == tuple(folded.initial)
+            assert tuple(got.accepting) == tuple(folded.accepting)
 
 
 def test_factor_closure_matches_sandwich_test():
