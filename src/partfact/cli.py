@@ -47,6 +47,7 @@ from .regular import (
     is_maximal,
     is_maximal_ud,
     is_submonoid,
+    is_thin,
     lemma2_check,
     regular_is_coding,
     regular_is_ud,
@@ -230,8 +231,8 @@ def cmd_check_partition(doc: Document, args) -> dict:
 def cmd_factorize(doc: Document, args) -> dict:
     if args.word is None:
         raise InputError("factorize needs --word")
-    names = [name for name, _f in doc.partition_classes()]
     partition = doc.finite_partition()
+    names = list(doc._partition_spec())
     result = p_factorize(doc.alphabet.word(args.word), partition)
     return {"blocks": [[names[k], b.text] for k, b in result.blocks]}
 
@@ -265,7 +266,7 @@ def cmd_is_base(doc: Document, args) -> dict:
 
 
 def cmd_thin(doc: Document, args) -> dict:
-    return {"verdict": not is_dense(doc.code_fsa)}
+    return {"verdict": is_thin(doc.code_fsa)}
 
 
 def cmd_dense(doc: Document, args) -> dict:
@@ -380,7 +381,7 @@ def run_document(command: str, text: str, args) -> dict:
     started = time.perf_counter()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deep nesting raises RecursionError
         raise InputError(f"invalid JSON: {e}") from None
     doc = Document(data)
     report = {"command": command}
@@ -452,15 +453,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     sources: list[tuple[str, str]] = []
+    path = "<stdin>"
     try:
         if args.files:
             for path in args.files:
                 with open(path, "r", encoding="utf-8") as handle:
                     sources.append((path, handle.read()))
         else:
-            sources.append(("<stdin>", sys.stdin.read()))
+            sources.append((path, sys.stdin.read()))
     except OSError as e:
         print(f"partfact: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except UnicodeDecodeError as e:
+        print(f"partfact: {path}: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
     def analyze(item: tuple[str, str]):

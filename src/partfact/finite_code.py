@@ -308,7 +308,6 @@ class _SuffixGraph:
             fwd[src].append(dst)
             bwd[dst].append(src)
         useful = _reachable((self.source,), fwd) & _reachable((self.term,), bwd)
-        self.has_relation = self.term in useful
         self.arcs = [a for a in full_arcs if a[0] in useful and a[1] in useful]
 
     def _arc_weight(self, src: int, dst: int, ann: tuple[str, ...]) -> int:
@@ -364,8 +363,8 @@ class _SuffixGraph:
 
 def _relation_texts(graph: _SuffixGraph, to_end: dict[int, int], max_message_len: int) -> list:
     """(left parts, right parts, message) of every prime relation whose
-    message has at most max_message_len letters, for a graph with a
-    relation and its :meth:`_SuffixGraph.to_end` distances.
+    message has at most max_message_len letters, given the graph's
+    :meth:`_SuffixGraph.to_end` distances.
 
     Depth-first along the useful arcs from the source over the states
     (node, behind, ahead, swapped, msg): ``behind`` is the trailing side,
@@ -422,9 +421,9 @@ def sp_is_ud(x: FiniteCode) -> tuple[bool, Optional[PrimeRelation]]:
     """
     _require_nonempty(x)
     graph = _SuffixGraph(x)
-    if not graph.has_relation:
-        return True, None
     to_end = graph.to_end()
+    if graph.source not in to_end:  # no source-to-terminal path
+        return True, None
     return False, _prime_relations(x, _relation_texts(graph, to_end, to_end[graph.source]))[0]
 
 
@@ -439,8 +438,6 @@ def enumerate_prime_relations(x: FiniteCode, max_message_len: int) -> list[Prime
     if max_message_len < 1:
         raise PreconditionError("the message length bound must be at least 1")
     graph = _SuffixGraph(x)
-    if not graph.has_relation:
-        return []
     return _prime_relations(x, _relation_texts(graph, graph.to_end(), max_message_len))
 
 

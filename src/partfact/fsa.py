@@ -16,6 +16,14 @@ walk, and the comparisons stop at their first counterexample.
 ``concat`` and ``union`` build the binary left fold of any number of
 operands in one pass; :func:`regex_to_fsa` folds each group this way, so
 a word of n letters compiles in time linear in n, not quadratic.
+
+Reports depend on the iteration order of ``initial`` and ``accepting``,
+which is CPython's hash-table order and so depends on how each set was
+built: ``concat``, ``star`` and ``plus`` emit spontaneous moves in that
+order, :func:`fsa_to_regex` adds its arcs in it, and the run-ambiguity
+search seeds its searches in it. A rewrite of a construction (Hopcroft
+``minimize``, a linear ``union``, a dropped ``trim``) must therefore show
+identical ``tuple(initial)`` and ``tuple(accepting)`` in its differential.
 """
 
 from __future__ import annotations
@@ -115,12 +123,6 @@ def empty_fsa(alphabet: Alphabet) -> Fsa:
 
 def epsilon_fsa(alphabet: Alphabet) -> Fsa:
     return Fsa(alphabet, 1, (), (0,), (0,))
-
-
-def symbol_fsa(alphabet: Alphabet, symbol: str) -> Fsa:
-    if symbol not in alphabet:
-        raise InputError(f"symbol {symbol!r} is not in alphabet {alphabet}")
-    return Fsa(alphabet, 2, ((0, symbol, 1),), (0,), (1,))
 
 
 def word_fsa(word: Word) -> Fsa:
@@ -319,8 +321,6 @@ def trim(f: Fsa) -> Fsa:
         fwd[p].append(q)
         bwd[q].append(p)
     useful = _reachable(f.initial, fwd) & _reachable(f.accepting, bwd)
-    if not useful:
-        return empty_fsa(f.alphabet)
     order = sorted(useful)
     index = {s: i for i, s in enumerate(order)}
     trans = [(index[p], a, index[q]) for p, a, q in f.transitions if p in useful and q in useful]
@@ -337,8 +337,6 @@ def eliminate_epsilon(f: Fsa) -> Fsa:
     """Equivalent spontaneous-move-free acceptor (language only; run
     multiplicities are not preserved)."""
     f = trim(f)
-    if f.n_states == 0:
-        return f
     adj = f.adjacency()
     eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
     closures = [_reachable((s,), eps) for s in range(f.n_states)]
@@ -359,9 +357,8 @@ def determinize(f: Fsa) -> Fsa:
     if g.n_states == 0:
         return g
     step = _subset_step(g)
-    start = frozenset(g.initial)
-    index = {start: 0}
-    queue = deque([start])
+    index = {g.initial: 0}
+    queue = deque([g.initial])
     trans = []
     while queue:
         subset = queue.popleft()
@@ -478,8 +475,6 @@ def plus(f: Fsa) -> Fsa:
 def factor_closure(f: Fsa) -> Fsa:
     """Acceptor for every factor of every accepted word."""
     g = trim(f)
-    if g.n_states == 0:
-        return g
     everything = range(g.n_states)
     return Fsa(g.alphabet, g.n_states, g.transitions, everything, everything)
 
@@ -518,8 +513,6 @@ def enumerate_finite_language(f: Fsa) -> list[Word]:
     cycle, i.e. the language is infinite.
     """
     g = eliminate_epsilon(f)
-    if g.n_states == 0:
-        return []
     adj = g.adjacency()
     order, _cycle = _postorder(range(g.n_states), [[q for _a, q in adj[s]] for s in range(g.n_states)])
     if order is None:
@@ -571,16 +564,13 @@ def _shortest_raw_paths(f: Fsa, seeds, reverse: bool) -> dict[int, str]:
 def _find_ambiguous_word(f: Fsa) -> Optional[str]:
     f = trim(f)
     n = f.n_states
-    if n == 0:
-        return None
-
     eps_out = defaultdict(list)
-    sym_trans = []
+    sym_by_src = defaultdict(list)
     for p, a, q in f.transitions:
         if a is None:
             eps_out[p].append(q)
         else:
-            sym_trans.append((p, a, q))
+            sym_by_src[p].append((a, q))
 
     completions: Optional[dict[int, str]] = None
 
@@ -600,7 +590,7 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
     # kept only for the q where a run can stop or read a symbol: the
     # counts below read no other q, and a long spontaneous chain stays
     # linear in size.
-    exits = f.accepting | {p for p, _a, _q in sym_trans}
+    exits = f.accepting | sym_by_src.keys()
     npaths = [defaultdict(int) for _ in range(n)]
     for s in topo:  # successors already done
         if s in exits:
@@ -615,10 +605,6 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
     # A "position" is a state a run occupies between consumed symbols:
     # an initial state or the target of a symbol transition. A move
     # folds one spontaneous path and one symbol transition together.
-    sym_by_src = defaultdict(list)
-    for p, a, q in sym_trans:
-        sym_by_src[p].append((a, q))
-
     def moves_from(p: int) -> dict[tuple[str, int], int]:
         counts: dict[tuple[str, int], int] = defaultdict(int)
         for m, k in npaths[p].items():
@@ -726,7 +712,7 @@ def regex_to_fsa(expr: str, alphabet: Alphabet) -> Fsa:
         elif c not in alphabet:
             raise RegexSyntaxError(f"symbol {c!r} is not in the alphabet", pos)
         else:
-            factors.append(symbol_fsa(alphabet, c))
+            factors.append(Fsa(alphabet, 2, ((0, c, 1),), (0,), (1,)))
         pos += 1
 
 
@@ -792,8 +778,6 @@ def fsa_to_regex(f: Fsa) -> Optional[str]:
     An alphabet with a reserved symbol raises :class:`PreconditionError`."""
     _require_regex_alphabet(f.alphabet, PreconditionError)
     g = trim(f)
-    if g.n_states == 0:
-        return None
     source, sink = g.n_states, g.n_states + 1
     arcs: dict[tuple[int, int], object] = {}
 

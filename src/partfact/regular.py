@@ -197,23 +197,22 @@ def _block_parser(classes: Sequence[Fsa]) -> Fsa:
     Class acceptors are determinized first so that different splittings
     of one block into class words do not create spurious runs.
     """
-    dfas = [A.minimize(A.plus(c)) for c in classes]
     # state 0 is the hub, then each class in turn
-    layout = A.union(Fsa(classes[0].alphabet, 1, (), (), ()), *dfas)
+    trans: list = []
     inits: list[int] = []
     accs: list[list[int]] = []
     shift = 1
-    for d in dfas:
+    for d in (A.minimize(A.plus(c)) for c in classes):
+        trans += [(p + shift, a, q + shift) for p, a, q in d.transitions]
         inits.append(next(iter(d.initial)) + shift)
         accs.append([f + shift for f in d.accepting])
         shift += d.n_states
-    trans = list(layout.transitions)
     for i, fs in enumerate(accs):
         trans.append((0, None, inits[i]))
         for j, q in enumerate(inits):
             if i != j:
                 trans.extend((f, None, q) for f in fs)
-    return Fsa(layout.alphabet, layout.n_states, trans, (0,), [f for fs in accs for f in fs])
+    return Fsa(classes[0].alphabet, shift, trans, (0,), [f for fs in accs for f in fs])
 
 
 def regular_is_ud(x: RegularCode) -> bool:

@@ -98,12 +98,13 @@ class Word(_Frozen):
     __slots__ = ("alphabet", "text", "_key")
 
     def __init__(self, alphabet: Alphabet, text: str):
-        for c in text:
-            if c not in alphabet:
-                raise InputError(f"symbol {c!r} in word {text!r} is not in alphabet {alphabet}")
+        try:
+            ranks = tuple(alphabet._rank[c] for c in text)
+        except KeyError as e:
+            raise InputError(f"symbol {e.args[0]!r} in word {text!r} is not in alphabet {alphabet}") from None
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "text", text)
-        object.__setattr__(self, "_key", (len(text), tuple(alphabet.rank(c) for c in text)))
+        object.__setattr__(self, "_key", (len(text), ranks))
 
     def sort_key(self) -> tuple:
         """Shortlex key: (length, symbol ranks)."""

@@ -280,6 +280,19 @@ def test_malformed_inputs_exit_2(tmp_path):
         ["ud"], files=[{"alphabet": ["a", "b"], "kind": "regex", "regex": "a|"}], tmp_path=tmp_path
     )
     assert code == 2
+    # a file that is not UTF-8, and JSON nested past the decoder's recursion
+    # limit, are malformed input too; exit 1 would read as a false verdict
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps(EXAMPLE1_DOC), encoding="utf-8")
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for bad, message in ((undecodable, "can't decode"), (deep, "invalid JSON")):
+        for args in (["ud", str(bad)], ["ud", "--quiet", str(bad)], ["ud", str(ok), str(bad)]):
+            code, _, err = run_cli(args)
+            assert code == 2, (args, err)
+            assert "Traceback" not in err and f"partfact: {bad}: " in err and message in err, err
 
 
 def test_state_cap_environment_exits_3(tmp_path):

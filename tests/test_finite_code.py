@@ -122,6 +122,9 @@ def test_enumerate_prime_relations_examples():
     assert len(rels) == 1
     assert repr(rels[0]) == "a·ba = ab·a"
     assert enumerate_prime_relations(FiniteCode(ZO, ["0", "01", "11"]), 10) == []
+    prefix_code = FiniteCode(AB, ["a", "ba", "bb"])  # no dangling suffix at all
+    assert enumerate_prime_relations(prefix_code, 10) == []
+    assert sp_is_ud(prefix_code) == (True, None)
     rels = enumerate_prime_relations(FiniteCode(AB, ["a", "aa"]), 3)
     assert [repr(r) for r in rels] == ["a·a = aa", "a·aa = aa·a"]
 

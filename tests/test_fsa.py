@@ -186,6 +186,19 @@ def test_shortest_word():
     assert A.shortest_word(A.difference(nfa, rx("aa"))).text == "ab"
 
 
+def test_acceptors_without_useful_states():
+    # the empty acceptor, and one with states but none both reachable and
+    # co-reachable: each operation gives what it gives on the empty language
+    for f in (A.empty_fsa(AB), Fsa(AB, 3, [(0, "a", 1)], (0,), (2,))):
+        for op in (A.trim, A.eliminate_epsilon, A.factor_closure, A.determinize, A.minimize):
+            assert op(f).n_states == 0, op
+        assert A.enumerate_finite_language(f) == []
+        assert A.is_unambiguous(f)
+        assert A.ambiguity_witness(f) is None
+        assert A.shortest_word(f) is None
+        assert A.fsa_to_regex(f) is None
+
+
 def test_shortest_word_respects_alphabet_order():
     ba = Alphabet("ba")
     f = A.word_set_fsa(ba, ba.words(["a", "b"]))

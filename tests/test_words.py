@@ -46,6 +46,8 @@ def test_alphabet_order_defines_shortlex():
 def test_word_validation():
     with pytest.raises(InputError):
         AB.word("abc")
+    with pytest.raises(InputError, match=r"^symbol 'c' in word 'acdb' is not in alphabet"):
+        AB.word("acdb")  # the first foreign symbol is named
     with pytest.raises(AlphabetMismatchError):
         AB.word("a") + ZO.word("0")
 
