@@ -392,7 +392,7 @@ def run_document(command: str, text: str, args) -> dict:
 
 def render_table(report: dict) -> str:
     lines = []
-    for key in ("command", "verdict", "bound"):
+    for key in ("input", "command", "verdict", "bound"):
         if key in report:
             value = report[key]
             lines.append(f"{key}: {json.dumps(value)}")
@@ -452,26 +452,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_BAD_INPUT
     args = build_parser().parse_args(argv)
 
-    sources: list[tuple[str, str]] = []
-    path = "<stdin>"
-    try:
-        if args.files:
-            for path in args.files:
-                with open(path, "r", encoding="utf-8") as handle:
-                    sources.append((path, handle.read()))
-        else:
-            sources.append((path, sys.stdin.read()))
-    except OSError as e:
-        print(f"partfact: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except UnicodeDecodeError as e:
-        print(f"partfact: {path}: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    sources = args.files or ["<stdin>"]
 
-    def analyze(item: tuple[str, str]):
-        path, text = item
+    def analyze(path: str):
         try:
+            if args.files:
+                with open(path, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            else:
+                text = sys.stdin.read()
             return path, run_document(args.command, text, args), EXIT_OK
+        except (OSError, UnicodeDecodeError) as e:  # an unreadable input is bad input
+            return path, {"command": args.command, "error": str(e)}, EXIT_BAD_INPUT
         except PartfactError as e:
             return path, {"command": args.command, "error": str(e)}, _error_exit(e)
         except Exception as e:  # a defect must not read as a verdict or stop the batch

@@ -16,14 +16,6 @@ walk, and the comparisons stop at their first counterexample.
 ``concat`` and ``union`` build the binary left fold of any number of
 operands in one pass; :func:`regex_to_fsa` folds each group this way, so
 a word of n letters compiles in time linear in n, not quadratic.
-
-Reports depend on the iteration order of ``initial`` and ``accepting``,
-which is CPython's hash-table order and so depends on how each set was
-built: ``concat``, ``star`` and ``plus`` emit spontaneous moves in that
-order, :func:`fsa_to_regex` adds its arcs in it, and the run-ambiguity
-search seeds its searches in it. A rewrite of a construction (Hopcroft
-``minimize``, a linear ``union``, a dropped ``trim``) must therefore show
-identical ``tuple(initial)`` and ``tuple(accepting)`` in its differential.
 """
 
 from __future__ import annotations
@@ -63,12 +55,22 @@ def _check_cap(n: int) -> None:
         raise StateCapExceededError(f"construction needs more than {_state_cap} states")
 
 
+class _States(frozenset):
+    """A set of states that iterates in ascending order."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(sorted(frozenset.__iter__(self)))
+
+
 class Fsa(_Frozen):
     """Finite-state acceptor over a fixed alphabet.
 
     ``transitions`` is a sequence of ``(src, label, dst)`` triples where
     ``label`` is a single alphabet symbol or ``None`` for a spontaneous
-    move. States are the integers ``0 .. n_states-1``.
+    move. States are the integers ``0 .. n_states-1``. ``initial`` and
+    ``accepting`` are frozensets that iterate in ascending order.
     """
 
     __slots__ = ("alphabet", "n_states", "transitions", "initial", "accepting")
@@ -83,8 +85,8 @@ class Fsa(_Frozen):
     ):
         _check_cap(n_states)
         trans = tuple(transitions)
-        init = frozenset(initial)
-        acc = frozenset(accepting)
+        init = _States(initial)
+        acc = _States(accepting)
         for p, a, q in trans:
             if not (0 <= p < n_states and 0 <= q < n_states):
                 raise InputError(f"transition ({p},{a!r},{q}) references a state out of range")
@@ -109,7 +111,7 @@ class Fsa(_Frozen):
     def __repr__(self) -> str:
         return (
             f"Fsa(states={self.n_states}, transitions={len(self.transitions)}, "
-            f"initial={sorted(self.initial)}, accepting={sorted(self.accepting)})"
+            f"initial={list(self.initial)}, accepting={list(self.accepting)})"
         )
 
 
@@ -336,7 +338,6 @@ def trim(f: Fsa) -> Fsa:
 def eliminate_epsilon(f: Fsa) -> Fsa:
     """Equivalent spontaneous-move-free acceptor (language only; run
     multiplicities are not preserved)."""
-    f = trim(f)
     adj = f.adjacency()
     eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
     closures = [_reachable((s,), eps) for s in range(f.n_states)]
@@ -413,13 +414,12 @@ def union(first: Fsa, *rest: Fsa) -> Fsa:
     before it; one pass equal to the binary left fold."""
     if not rest:
         return first
-    n, trans, init, acc = first.n_states, list(first.transitions), first.initial, first.accepting
+    n, trans, init, acc = first.n_states, list(first.transitions), list(first.initial), list(first.accepting)
     for f in rest:
         _require_same_alphabet(first.alphabet, f.alphabet)
         trans += [(p + n, a, q + n) for p, a, q in f.transitions]
-        # rebuilt as each binary step builds them, so they iterate alike
-        init = frozenset(set(init) | {s + n for s in f.initial})
-        acc = frozenset(set(acc) | {s + n for s in f.accepting})
+        init += [s + n for s in f.initial]
+        acc += [s + n for s in f.accepting]
         n += f.n_states
     return Fsa(first.alphabet, n, trans, init, acc)
 
@@ -453,7 +453,7 @@ def concat(first: Fsa, *rest: Fsa) -> Fsa:
         _require_same_alphabet(first.alphabet, f.alphabet)
         trans += [(p + n, a, q + n) for p, a, q in f.transitions]
         trans += [(p, None, q + n) for p in acc for q in f.initial]
-        acc = frozenset({s + n for s in f.accepting})
+        acc = [s + n for s in f.accepting]
         n += f.n_states
     return Fsa(first.alphabet, n, trans, first.initial, acc)
 
@@ -600,7 +600,7 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
                 npaths[s][t] = min(2, npaths[s][t] + c)
 
     # Spontaneous paths into acceptance, per state.
-    tails = [min(2, sum(npaths[s][t] for t in f.accepting if t in npaths[s])) for s in range(n)]
+    tails = [min(2, sum(c for t, c in npaths[s].items() if t in f.accepting)) for s in range(n)]
 
     # A "position" is a state a run occupies between consumed symbols:
     # an initial state or the target of a symbol transition. A move
@@ -643,7 +643,7 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
                     yield a, pair(p2, q2)
 
     forks = chain(  # (word, states) where several runs part: the start, then every move
-        [("", sorted(f.initial))],
+        [("", list(f.initial))],
         ((access[p] + a, ts) for p, by in moves.items() for a, ts in by.items()),
     )
     seeds = ((pair(q1, q2), word) for word, ts in forks for i, q1 in enumerate(ts) for q2 in ts[i + 1:])
@@ -694,7 +694,7 @@ def regex_to_fsa(expr: str, alphabet: Alphabet) -> Fsa:
                 node = union(*alts)
                 if not groups:
                     if c is None:
-                        return trim(node)
+                        return node
                     raise RegexSyntaxError(f"unexpected {c!r}", pos)
                 if c is None:
                     raise RegexSyntaxError("expected ')'", pos)

@@ -324,7 +324,7 @@ def gen_ud(p: RegularPartition, seq: Sequence[int]) -> RegularCode:
         raise PreconditionError("the last class index must differ from the first")
     if not regular_is_coding(p):
         raise PreconditionError("the partition is not a coding partition")
-    return RegularCode(A.trim(A.concat(*(A.plus(p.classes[i]) for i in seq))))
+    return RegularCode(A.concat(*(A.plus(p.classes[i]) for i in seq)))
 
 
 def canonical_free_factorization(m: RegularMonoid) -> tuple[Optional[Fsa], list[Fsa]]:

@@ -280,19 +280,25 @@ def test_malformed_inputs_exit_2(tmp_path):
         ["ud"], files=[{"alphabet": ["a", "b"], "kind": "regex", "regex": "a|"}], tmp_path=tmp_path
     )
     assert code == 2
-    # a file that is not UTF-8, and JSON nested past the decoder's recursion
-    # limit, are malformed input too; exit 1 would read as a false verdict
+    # a file that is missing or not UTF-8, and JSON nested past the
+    # decoder's recursion limit, are malformed input too; exit 1 would
+    # read as a false verdict. In a batch the other inputs are still
+    # reported.
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps(EXAMPLE1_DOC), encoding="utf-8")
     undecodable = tmp_path / "undecodable.json"
     undecodable.write_bytes(b"\xff")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-    for bad, message in ((undecodable, "can't decode"), (deep, "invalid JSON")):
+    missing = tmp_path / "missing.json"
+    cases = ((undecodable, "can't decode"), (deep, "invalid JSON"), (missing, "No such file"))
+    for bad, message in cases:
         for args in (["ud", str(bad)], ["ud", "--quiet", str(bad)], ["ud", str(ok), str(bad)]):
-            code, _, err = run_cli(args)
+            code, out, err = run_cli(args)
             assert code == 2, (args, err)
             assert "Traceback" not in err and f"partfact: {bad}: " in err and message in err, err
+            if str(ok) in args:
+                assert out.count('verdict: false') == 1 and f"input: {json.dumps(str(ok))}" in out, out
 
 
 def test_state_cap_environment_exits_3(tmp_path):
@@ -363,3 +369,15 @@ def test_table_format(tmp_path):
     assert code == 0
     assert 'command: "canonical"' in out
     assert "X0: 010 011" in out
+
+
+def test_table_format_labels_each_batch_input(tmp_path):
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps(EXAMPLE1_DOC), encoding="utf-8")
+    code, out, _ = run_cli(["ud", str(ok), str(ok)])
+    assert code == 0
+    labels = [line for line in out.splitlines() if line.startswith("input: ")]
+    assert labels == [f"input: {json.dumps(str(ok))}"] * 2
+    # a single input has no label
+    code, out, _ = run_cli(["ud", str(ok)])
+    assert code == 0 and "input: " not in out

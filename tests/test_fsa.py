@@ -51,6 +51,17 @@ def test_regex_examples():
     elapsed = time.perf_counter() - start
     assert [w.text for w in enumerate_words(f, len(text))] == [text]
     assert elapsed < 2.0
+    # a group's alternatives are appended once each: 16 000 alternatives
+    # compile in well under a second; rebuilding the initial and
+    # accepting sets per alternative takes about 15 s
+    rng = random.Random(16_000)
+    alts = ["".join(rng.choice("ab") for _ in range(2)) for _ in range(16_000)]
+    start = time.perf_counter()
+    f = rx("|".join(alts))
+    elapsed = time.perf_counter() - start
+    assert all(A.accepts(f, t) for t in rng.sample(alts, 20))
+    assert not A.accepts(f, "a") and not A.accepts(f, "aba")
+    assert elapsed < 3.0
 
 
 def test_regex_structure():
@@ -245,8 +256,7 @@ def _binary_concat(l, r):
 
 def test_nary_folds_match_binary_folds():
     # n-ary concat and union equal the left fold of the binary
-    # constructions field by field, the iteration order of the initial
-    # and accepting sets included
+    # constructions field by field
     rng = random.Random(44)
     for _ in range(200):
         fs = [random_fsa(rng, AB, max_states=rng.choice((5, 40))) for _ in range(rng.randint(1, 4))]
@@ -259,6 +269,29 @@ def test_nary_folds_match_binary_folds():
             assert got.transitions == folded.transitions
             assert tuple(got.initial) == tuple(folded.initial)
             assert tuple(got.accepting) == tuple(folded.accepting)
+
+
+def _fields(f):
+    return f.n_states, f.transitions, tuple(f.initial), tuple(f.accepting)
+
+
+def test_state_sets_iterate_in_ascending_order():
+    # however the initial and accepting sets are given or built, they
+    # iterate in ascending order, so no construction has to keep an order
+    f = Fsa(AB, 9, (), (8, 1), (8, 1))
+    assert tuple(f.initial) == (1, 8) and tuple(f.accepting) == (1, 8)
+    assert not hasattr(f.initial, "__dict__") and not hasattr(f.accepting, "__dict__")
+    rng = random.Random(12)
+    for _ in range(150):
+        f, g = random_fsa(rng, AB, max_states=12), random_fsa(rng, AB, max_states=12)
+        results = (A.union(f, g, f), A.concat(f, g, f), A.star(f), A.trim(f), A.minimize(f), A.difference(f, g))
+        for h in results:
+            assert list(h.initial) == sorted(h.initial) and list(h.accepting) == sorted(h.accepting)
+        assert _fields(A.trim(A.trim(f))) == _fields(A.trim(f))
+    # regex constructions are trimmed as they are built
+    for _ in range(300):
+        f = rx(_dialect_text(_random_regex(rng, 5), rng))
+        assert _fields(f) == _fields(A.trim(f))
 
 
 def test_factor_closure_matches_sandwich_test():
@@ -311,6 +344,12 @@ for _ in range(200):
     f, g = random_fsa(rng, ab), random_fsa(rng, ab)
     for h in (A.intersection(f, g), A.difference(f, g)):
         out.append([h.n_states, h.transitions, sorted(h.initial), sorted(h.accepting)])
+    # the folds, in the order their sets iterate
+    for h in (A.union(f, g, f), A.concat(f, g, f)):
+        out.append([h.n_states, h.transitions, list(h.initial), list(h.accepting)])
+for _ in range(100):
+    h = A.regex_to_fsa(" | ".join(rng.choice(("ab", "(a|b)*", "b+a", "_")) for _ in range(20)), ab)
+    out.append([h.n_states, h.transitions, list(h.initial), list(h.accepting)])
 print(json.dumps(out))
 """
 
