@@ -8,10 +8,17 @@ transition as a distinct run step.
 
 Constructions that can blow up (subset construction, products) abort
 with :class:`StateCapExceededError` once they would allocate more states
-than the configured cap. ``intersection`` counts (state, state) pairs;
+than the configured cap; the error names the construction (``Fsa``,
+``determinize``, ``intersection``, ``difference``, ``includes``,
+``shortest_word``). ``intersection`` counts (state, state) pairs;
 ``difference`` and the comparisons (``includes``, ``equivalent``,
 ``is_universal``, ``shortest_word``) count (state, subset) pairs of one
-walk, and the comparisons stop at their first counterexample.
+walk, and the comparisons stop at their first counterexample. The subset
+steps read one row table per symbol, indexed by state.
+
+:func:`minimize` is Hopcroft's refinement on the partial DFA, where a
+missing move leads into an implicit sink block, in O(m log n) for m
+moves and n states; its blocks are numbered by their least states.
 
 ``concat`` and ``union`` build the binary left fold of any number of
 operands in one pass; :func:`regex_to_fsa` folds each group this way, so
@@ -50,9 +57,9 @@ def set_state_cap(cap: int) -> None:
     _state_cap = cap
 
 
-def _check_cap(n: int) -> None:
+def _check_cap(n: int, construction: str) -> None:
     if n > _state_cap:
-        raise StateCapExceededError(f"construction needs more than {_state_cap} states")
+        raise StateCapExceededError(f"{construction} needs more than {_state_cap} states")
 
 
 class _States(frozenset):
@@ -83,14 +90,15 @@ class Fsa(_Frozen):
         initial: Iterable[int],
         accepting: Iterable[int],
     ):
-        _check_cap(n_states)
+        _check_cap(n_states, "Fsa")
         trans = tuple(transitions)
         init = _States(initial)
         acc = _States(accepting)
+        symbols = alphabet._rank
         for p, a, q in trans:
             if not (0 <= p < n_states and 0 <= q < n_states):
                 raise InputError(f"transition ({p},{a!r},{q}) references a state out of range")
-            if a is not None and a not in alphabet:
+            if a is not None and a not in symbols:
                 raise InputError(f"transition symbol {a!r} is not in alphabet {alphabet}")
         for s in init | acc:
             if not 0 <= s < n_states:
@@ -224,26 +232,28 @@ def _bfs(seeds: Iterable, succ):
                 yield queue[-1]
 
 
-def _moves(g: Fsa) -> dict:
-    """``(state, symbol) -> targets`` in transition order."""
-    moves = defaultdict(list)
+def _rows(g: Fsa) -> dict[str, list[list[int]]]:
+    """``symbol -> row`` for a spontaneous-move-free acceptor, where
+    ``row[p]`` lists the targets of ``p``'s moves on the symbol in
+    transition order."""
+    rows = {c: [[] for _ in range(g.n_states)] for c in g.alphabet.symbols}
     for p, a, q in g.transitions:
-        moves[(p, a)].append(q)
-    return moves
+        rows[a][p].append(q)
+    return rows
 
 
 def _subset_step(g: Fsa):
     """Move function of the subset construction over a spontaneous-move-free
     acceptor: ``step(subset, c)`` is the set of states reached on ``c``."""
-    moves = _moves(g)
+    lookup = {c: row.__getitem__ for c, row in _rows(g).items()}
 
     def step(subset: frozenset, c: str) -> frozenset:
-        return frozenset(q for p in subset for q in moves.get((p, c), ()))
+        return frozenset(chain.from_iterable(map(lookup[c], subset)))
 
     return step
 
 
-def _product(a: Fsa, starts, step, moves: Optional[list] = None):
+def _product(a: Fsa, starts, step, construction: str, moves: Optional[list] = None):
     """Breadth-first lockstep walk of the spontaneous-move-free acceptor
     ``a`` against a right side given by its start nodes and
     ``step(node, c)``, the nodes it reaches on ``c``. Yields each pair
@@ -252,23 +262,25 @@ def _product(a: Fsa, starts, step, moves: Optional[list] = None):
     together, a symbol at a time, so the words come in shortlex order.
     Pairs are numbered in that order, the start pairs (the only ones
     reached by the empty word) first; ``moves`` collects the
-    ``(src, c, dst)`` moves between the numbers."""
-    amoves = _moves(a)
+    ``(src, c, dst)`` moves between the numbers; ``construction`` names
+    the caller in a cap error."""
+    arows = _rows(a)
     index: dict = {}
     queue = deque([("", [(p, s) for p in a.initial for s in starts])])
     for pair in queue[0][1]:
-        _check_cap(len(index) + 1)
+        _check_cap(len(index) + 1, construction)
         index[pair] = len(index)
         yield pair, ""
     while queue:
         word, group = queue.popleft()
         for c in a.alphabet.symbols:  # declared order gives shortlex
+            row = arows[c]
             fresh = []
             for p, s in group:
-                targets = amoves.get((p, c))
+                targets = row[p]
                 for pair in product(targets, step(s, c)) if targets else ():
                     if pair not in index:
-                        _check_cap(len(index) + 1)
+                        _check_cap(len(index) + 1, construction)
                         index[pair] = len(index)
                         fresh.append(pair)
                         yield pair, word + c
@@ -278,7 +290,7 @@ def _product(a: Fsa, starts, step, moves: Optional[list] = None):
                 queue.append((word + c, fresh))
 
 
-def _subset_walk(l: Fsa, r: Fsa, moves: Optional[list] = None):
+def _subset_walk(l: Fsa, r: Fsa, construction: str, moves: Optional[list] = None):
     """The walk of ``l``'s states against the subset construction of
     ``r``, where the empty subset stands for the sink. Yields each pair's
     word and whether it is a witness there: a word that the pair's state
@@ -287,8 +299,9 @@ def _subset_walk(l: Fsa, r: Fsa, moves: Optional[list] = None):
     a = eliminate_epsilon(l)
     b = eliminate_epsilon(r)
     step = _subset_step(b)
-    for (p, subset), word in _product(a, [frozenset(b.initial)], lambda t, c: (step(t, c),), moves):
-        yield word, p in a.accepting and not subset & b.accepting
+    starts = [frozenset(b.initial)]
+    for (p, subset), word in _product(a, starts, lambda t, c: (step(t, c),), construction, moves):
+        yield word, p in a.accepting and b.accepting.isdisjoint(subset)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +353,16 @@ def eliminate_epsilon(f: Fsa) -> Fsa:
     multiplicities are not preserved)."""
     adj = f.adjacency()
     eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
-    closures = [_reachable((s,), eps) for s in range(f.n_states)]
     trans = set()
+    accepting = []
     for p in range(f.n_states):
-        for m in closures[p]:
+        closure = _reachable((p,), eps) if eps[p] else (p,)
+        for m in closure:
             for a, q in adj[m]:
                 if a is not None:
                     trans.add((p, a, q))
-    accepting = {p for p in range(f.n_states) if closures[p] & f.accepting}
+        if not f.accepting.isdisjoint(closure):
+            accepting.append(p)
     return trim(Fsa(f.alphabet, f.n_states, sorted(trans), f.initial, accepting))
 
 
@@ -369,7 +384,7 @@ def determinize(f: Fsa) -> Fsa:
             if not target:
                 continue
             if target not in index:
-                _check_cap(len(index) + 1)
+                _check_cap(len(index) + 1, "determinize")
                 index[target] = len(index)
                 queue.append(target)
             trans.append((src, c, index[target]))
@@ -378,31 +393,57 @@ def determinize(f: Fsa) -> Fsa:
 
 
 def minimize(f: Fsa) -> Fsa:
-    """Minimal trimmed DFA for the language (Moore partition refinement).
-    Every state of the partial DFA reaches acceptance, so a missing move
-    (``-1`` in a signature) sets states apart just as a sink would."""
+    """Minimal trimmed DFA for the language: Hopcroft's partition
+    refinement on the partial DFA of :func:`determinize`, as in Valmari,
+    "Fast brief practical DFA minimization" (2012), in O(m log n) for m
+    moves and n states. Every state of the partial DFA reaches
+    acceptance, so a missing move leads into an implicit sink block that
+    no state shares and that never has to split another block. The
+    blocks are numbered by their least states, which makes the result
+    independent of the order of the splits."""
     d = determinize(f)
-    if d.n_states == 0:
-        return d
-    succ = [[-1] * len(d.alphabet) for _ in range(d.n_states)]
+    n = d.n_states
+    preds = [[[] for _ in range(n)] for _ in d.alphabet.symbols]
     for p, a, q in d.transitions:
-        succ[p][d.alphabet.rank(a)] = q
-    block = [0 if s in d.accepting else 1 for s in range(d.n_states)]
-    while True:
-        signature = {}
-        new_block = []
-        for s in range(d.n_states):
-            sig = (block[s],) + tuple(-1 if q < 0 else block[q] for q in succ[s])
-            if sig not in signature:
-                signature[sig] = len(signature)
-            new_block.append(signature[sig])
-        if new_block == block:
-            break
-        block = new_block
-    trans = sorted({(block[p], a, block[q]) for p, a, q in d.transitions})
-    init = {block[s] for s in d.initial}
-    acc = {block[s] for s in d.accepting}
-    return Fsa(d.alphabet, max(block) + 1, trans, init, acc)
+        preds[d.alphabet._rank[a]][q].append(p)
+    block = [0] * n
+    members: list[set[int]] = []
+    for part in (list(d.accepting), [s for s in range(n) if s not in d.accepting]):
+        if part:
+            for s in part:
+                block[s] = len(members)
+            members.append(set(part))
+    # Both starting blocks wait. The part split off a block is never the
+    # larger one, and it waits whether or not the block still does.
+    waiting = list(range(len(members)))
+    while waiting:
+        splitter = list(members[waiting.pop()])
+        for row in preds:
+            touched = defaultdict(list)
+            for p in chain.from_iterable(map(row.__getitem__, splitter)):
+                touched[block[p]].append(p)
+            for b, inside in touched.items():
+                kept = members[b]
+                if len(inside) == len(kept):
+                    continue
+                if 2 * len(inside) <= len(kept):
+                    kept.difference_update(inside)
+                    part = set(inside)
+                else:
+                    part = kept.difference(inside)
+                    members[b] = set(inside)
+                for s in part:
+                    block[s] = len(members)
+                waiting.append(len(members))
+                members.append(part)
+    number: dict[int, int] = {}
+    for b in block:
+        number.setdefault(b, len(number))
+    cls = [number[b] for b in block]
+    trans = sorted({(cls[p], a, cls[q]) for p, a, q in d.transitions})
+    init = {cls[s] for s in d.initial}
+    acc = {cls[s] for s in d.accepting}
+    return Fsa(d.alphabet, len(number), trans, init, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +469,16 @@ def intersection(l: Fsa, r: Fsa) -> Fsa:
     _require_same_alphabet(l.alphabet, r.alphabet)
     a = eliminate_epsilon(l)
     b = eliminate_epsilon(r)
-    bmoves = _moves(b)
+    brows = _rows(b)
     moves: list = []
-    pairs = [pair for pair, _word in _product(a, b.initial, lambda q, c: bmoves.get((q, c), ()), moves)]
+    pairs = [pair for pair, _word in _product(a, b.initial, lambda q, c: brows[c][q], "intersection", moves)]
     acc = [i for i, (p, q) in enumerate(pairs) if p in a.accepting and q in b.accepting]
     return trim(Fsa(l.alphabet, len(pairs), moves, range(len(a.initial) * len(b.initial)), acc))
 
 
 def difference(l: Fsa, r: Fsa) -> Fsa:
     moves: list = []
-    walk = list(_subset_walk(l, r, moves))
+    walk = list(_subset_walk(l, r, "difference", moves))
     init = [i for i, (word, _witness) in enumerate(walk) if not word]
     acc = [i for i, (_word, witness) in enumerate(walk) if witness]
     return trim(Fsa(l.alphabet, len(walk), moves, init, acc))
@@ -493,7 +534,7 @@ def is_universal(f: Fsa) -> bool:
 
 def includes(l: Fsa, r: Fsa) -> bool:
     """True iff the language of ``l`` contains the language of ``r``."""
-    return not any(witness for _word, witness in _subset_walk(r, l))
+    return not any(witness for _word, witness in _subset_walk(r, l, "includes"))
 
 
 def equivalent(l: Fsa, r: Fsa) -> bool:
@@ -502,7 +543,8 @@ def equivalent(l: Fsa, r: Fsa) -> bool:
 
 def shortest_word(f: Fsa) -> Optional[Word]:
     """Shortlex-least accepted word, or None when the language is empty."""
-    word = next((word for word, witness in _subset_walk(f, empty_fsa(f.alphabet)) if witness), None)
+    walk = _subset_walk(f, empty_fsa(f.alphabet), "shortest_word")
+    word = next((word for word, witness in walk if witness), None)
     return None if word is None else Word(f.alphabet, word)
 
 
@@ -716,61 +758,82 @@ def regex_to_fsa(expr: str, alphabet: Alphabet) -> Fsa:
         pos += 1
 
 
-# Regex synthesis (state elimination). AST: None is the empty language;
-# otherwise ("eps",) | ("sym", c) | ("alt", parts) | ("cat", parts) |
-# ("star", x).
+class _Terms:
+    """The regex terms of one state elimination, hash-consed: each
+    distinct term is an int indexing ``nodes``, so terms compare and hash
+    in constant time however deeply they nest. None is the empty
+    language. A node is ``("eps", None)``, ``("sym", c)``, ``("alt",
+    parts)``, ``("cat", parts)`` or ``("star", x)``, with ``parts`` a
+    tuple of terms; ``kids[t]`` lists the terms of node ``t``, and they
+    are always smaller than ``t``."""
 
-_EPS = ("eps",)
+    EPS = 0
 
+    def __init__(self):
+        self.nodes: list[tuple] = [("eps", None)]
+        self.kids: list[tuple] = [()]
+        self.ids: dict[tuple, int] = {("eps", None): self.EPS}
 
-def _alt(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    parts = (a[1] if a[0] == "alt" else [a]) + (b[1] if b[0] == "alt" else [b])
-    dedup = []
-    for p in parts:
-        if p not in dedup:
-            dedup.append(p)
-    return dedup[0] if len(dedup) == 1 else ("alt", dedup)
+    def make(self, kind: str, arg) -> int:
+        node = (kind, arg)
+        term = self.ids.get(node)
+        if term is None:
+            term = self.ids[node] = len(self.nodes)
+            self.nodes.append(node)
+            self.kids.append(arg if kind in ("alt", "cat") else (arg,) if kind == "star" else ())
+        return term
 
+    def _parts(self, term: int, kind: str) -> tuple:
+        node = self.nodes[term]
+        return node[1] if node[0] == kind else (term,)
 
-def _cat(a, b):
-    if a is None or b is None:
-        return None
-    if a == _EPS:
-        return b
-    if b == _EPS:
-        return a
-    parts = (a[1] if a[0] == "cat" else [a]) + (b[1] if b[0] == "cat" else [b])
-    return ("cat", parts)
+    def alt(self, a: Optional[int], b: Optional[int]) -> Optional[int]:
+        if a is None:
+            return b
+        if b is None:
+            return a
+        parts = tuple(dict.fromkeys(self._parts(a, "alt") + self._parts(b, "alt")))
+        return parts[0] if len(parts) == 1 else self.make("alt", parts)
 
+    def cat(self, a: Optional[int], b: Optional[int]) -> Optional[int]:
+        if a is None or b is None:
+            return None
+        if a == self.EPS:
+            return b
+        if b == self.EPS:
+            return a
+        return self.make("cat", self._parts(a, "cat") + self._parts(b, "cat"))
 
-def _star(a):
-    if a is None or a == _EPS:
-        return _EPS
-    if a[0] == "star":
-        return a
-    return ("star", a)
+    def star(self, a: Optional[int]) -> int:
+        if a is None or a == self.EPS:
+            return self.EPS
+        if self.nodes[a][0] == "star":
+            return a
+        return self.make("star", a)
 
+    def render(self, root: int) -> str:
+        """The dialect text of a term. Each term reachable from the root is
+        rendered once, in ascending order, so its parts come first; a part
+        is parenthesized where its operator binds looser than the one
+        around it."""
+        text: dict[int, str] = {}
 
-def _render(node, level: int = 0) -> str:
-    # level 0: alternation context, 1: concatenation, 2: repetition operand
-    if node == _EPS:
-        return "_"
-    kind = node[0]
-    if kind == "sym":
-        return node[1]
-    if kind == "alt":
-        body = "|".join(_render(p, 0) for p in node[1])
-        return f"({body})" if level >= 1 else body
-    if kind == "cat":
-        body = "".join(_render(p, 1) for p in node[1])
-        return f"({body})" if level >= 2 else body
-    if kind == "star":
-        return _render(node[1], 2) + "*"
-    raise AssertionError(f"unknown node {node!r}")
+        def grouped(term: int, looser: tuple) -> str:
+            return f"({text[term]})" if self.nodes[term][0] in looser else text[term]
+
+        for term in sorted(_reachable((root,), self.kids)):
+            kind, arg = self.nodes[term]
+            if kind == "eps":
+                text[term] = "_"
+            elif kind == "sym":
+                text[term] = arg
+            elif kind == "alt":
+                text[term] = "|".join(text[p] for p in arg)
+            elif kind == "cat":
+                text[term] = "".join(grouped(p, ("alt",)) for p in arg)
+            else:
+                text[term] = grouped(arg, ("alt", "cat")) + "*"
+        return text[root]
 
 
 def fsa_to_regex(f: Fsa) -> Optional[str]:
@@ -779,29 +842,34 @@ def fsa_to_regex(f: Fsa) -> Optional[str]:
     _require_regex_alphabet(f.alphabet, PreconditionError)
     g = trim(f)
     source, sink = g.n_states, g.n_states + 1
-    arcs: dict[tuple[int, int], object] = {}
+    terms = _Terms()
+    # the arcs out of and into each node, in the order they were added,
+    # which fixes the order of the alternatives in the text
+    outs: list[dict[int, int]] = [{} for _ in range(g.n_states + 2)]
+    ins: list[dict[int, int]] = [{} for _ in range(g.n_states + 2)]
 
-    def add(i, j, node):
-        arcs[(i, j)] = _alt(arcs.get((i, j)), node)
+    def add(i, j, term):
+        outs[i][j] = ins[j][i] = terms.alt(outs[i].get(j), term)
 
     for p, a, q in g.transitions:
-        add(p, q, _EPS if a is None else ("sym", a))
+        add(p, q, terms.EPS if a is None else terms.make("sym", a))
     for s in g.initial:
-        add(source, s, _EPS)
+        add(source, s, terms.EPS)
     for s in g.accepting:
-        add(s, sink, _EPS)
+        add(s, sink, terms.EPS)
 
     for k in range(g.n_states):
-        loop = _star(arcs.pop((k, k), None))
-        into = [(i, node) for (i, j), node in arcs.items() if j == k and i != k]
-        outof = [(j, node) for (i, j), node in arcs.items() if i == k and j != k]
-        for (i, j) in [key for key in arcs if k in key]:
-            del arcs[(i, j)]
-        for i, rin in into:
-            for j, rout in outof:
-                add(i, j, _cat(rin, _cat(loop, rout)))
+        ins[k].pop(k, None)
+        loop = terms.star(outs[k].pop(k, None))
+        for i in ins[k]:
+            del outs[i][k]
+        for j in outs[k]:
+            del ins[j][k]
+        for i, rin in ins[k].items():
+            for j, rout in outs[k].items():
+                add(i, j, terms.cat(rin, terms.cat(loop, rout)))
 
-    result = arcs.get((source, sink))
+    result = outs[source].get(sink)
     if result is None:
         return None
-    return _render(result)
+    return terms.render(result)

@@ -1,6 +1,6 @@
 """Test-only helpers: a bounded brute-force oracle and relation search
-for finite codes, a bounded word enumerator for acceptors, and an audit
-bound for the co-occurrence analysis.
+for finite codes, a bounded word enumerator for acceptors, Moore's
+minimization, and an audit bound for the co-occurrence analysis.
 
 The brute-force oracle and relation search share no code with the
 exact analyses in ``partfact.finite_code``, so the tests can use them as
@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from partfact import FiniteCode, PreconditionError, Word
 from partfact.finite_code import _SuffixGraph
-from partfact.fsa import Fsa, eliminate_epsilon
+from partfact.fsa import Fsa, determinize, eliminate_epsilon
 
 
 def enumerate_words(f: Fsa, max_len: int) -> list[Word]:
@@ -40,6 +40,36 @@ def enumerate_words(f: Fsa, max_len: int) -> list[Word]:
                     nxt.append((prefix + c, target))
         level = nxt
     return out
+
+
+def moore_minimize(f: Fsa) -> Fsa:
+    """Minimal trimmed DFA by Moore's partition refinement, one round per
+    distinguishing length: the reference for ``partfact.fsa.minimize``.
+    Every state of the partial DFA reaches acceptance, so a missing move
+    (``-1`` in a signature) sets states apart just as a sink would; each
+    round numbers the blocks by their least states."""
+    d = determinize(f)
+    if d.n_states == 0:
+        return d
+    succ = [[-1] * len(d.alphabet) for _ in range(d.n_states)]
+    for p, a, q in d.transitions:
+        succ[p][d.alphabet.rank(a)] = q
+    block = [0 if s in d.accepting else 1 for s in range(d.n_states)]
+    while True:
+        signature = {}
+        new_block = []
+        for s in range(d.n_states):
+            sig = (block[s],) + tuple(-1 if q < 0 else block[q] for q in succ[s])
+            if sig not in signature:
+                signature[sig] = len(signature)
+            new_block.append(signature[sig])
+        if new_block == block:
+            break
+        block = new_block
+    trans = sorted({(block[p], a, block[q]) for p, a, q in d.transitions})
+    init = {block[s] for s in d.initial}
+    acc = {block[s] for s in d.accepting}
+    return Fsa(d.alphabet, max(block) + 1, trans, init, acc)
 
 
 def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]:

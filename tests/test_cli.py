@@ -310,6 +310,19 @@ def test_state_cap_environment_exits_3(tmp_path):
     code, _, err = run_cli(["complete"], files=[doc], tmp_path=tmp_path,
                            env={"PARTFACT_STATE_CAP": "10"})
     assert code == 3, err
+    # the error names the construction that hit the cap
+    doc["regex"] = "(0|1)*0(0|1)(0|1)(0|1)(0|1)"
+    code, _, err = run_cli(["base"], files=[doc], tmp_path=tmp_path,
+                           env={"PARTFACT_STATE_CAP": "50"})
+    assert code == 3, err
+    assert err.endswith(": difference needs more than 50 states\n"), err
+
+
+def test_deeply_nested_base_is_rendered(tmp_path):
+    # the base regex nests 250 stars deep; rendering it needs no recursion
+    doc = {"alphabet": ["a", "b"], "kind": "regex", "regex": "(a" * 250 + ")*b" * 250}
+    code, out, err = run_cli(["base", "--quiet"], files=[doc], tmp_path=tmp_path)
+    assert (code, out, err) == (0, "", "")
 
 
 def test_internal_error_exits_5_and_batch_continues(tmp_path, monkeypatch, capsys):

@@ -8,14 +8,17 @@ import time
 import pytest
 
 from conftest import all_texts, count_runs, has_ambiguous_word, language_set, random_fsa
-from oracles import enumerate_words
+from oracles import enumerate_words, moore_minimize
 from partfact import (
     Alphabet,
     AlphabetMismatchError,
     InputError,
     PreconditionError,
     RegexSyntaxError,
+    RegularCode,
+    RegularMonoid,
     StateCapExceededError,
+    base,
 )
 from partfact import fsa as A
 from partfact.fsa import Fsa
@@ -324,6 +327,46 @@ def test_random_fsa_boolean_ops():
     assert [w.text for w in A.enumerate_finite_language(m)] == [text]
 
 
+def test_minimize_matches_moore_oracle():
+    # Hopcroft's refinement finds Moore's partition and numbers its blocks
+    # the same way, so the minimal DFAs agree field by field
+    rng = random.Random(37)
+    shapes = []
+    for alphabet in (AB, Alphabet("abc")):
+        for _ in range(1100):
+            shapes.append(random_fsa(rng, alphabet, max_states=rng.choice((3, 6, 12)), eps_prob=0.2))
+    for n in range(10):
+        q = rx("(a|b)*a" + "(a|b)" * n)
+        shapes += [q, A.star(q)]
+        if n < 7:
+            shapes.append(A.plus(A.union(q, rx("b*a" + "(a|b)" * n))))
+    abcd = Alphabet("abcd")
+    for length in (200, 300, 400):
+        w = "a" + "".join(rng.choice("ad") for _ in range(length - 1))
+        for words in (["b", "ca", "cb", "cc", w], ["b", "c", "bc", w]):
+            code = A.regex_to_fsa("|".join(words), abcd)
+            shapes += [code, A.plus(code)]
+    empty = merged = 0
+    for f in shapes:
+        got, want = A.minimize(f), moore_minimize(f)
+        assert _fields(got) == _fields(want), f
+        empty += got.n_states == 0
+        merged += got.n_states < A.determinize(f).n_states
+    # the corpus exercises the empty language and real merging
+    assert empty > 100 and merged > 300
+
+
+def test_minimize_is_near_linear_on_a_unary_word():
+    # a unary word needs one Moore round per letter, about 14 s at 4000
+    # letters; Hopcroft's refinement takes a fraction of a second
+    start = time.perf_counter()
+    m = A.minimize(A.word_fsa(AB.word("a" * 4000)))
+    elapsed = time.perf_counter() - start
+    assert (m.n_states, len(m.transitions)) == (4001, 4000)
+    assert m.transitions == tuple((i, "a", i + 1) for i in range(4000))
+    assert elapsed < 2.0
+
+
 def test_double_complement_round_trip():
     rng = random.Random(5)
     sigma_star = A.full_language_fsa(AB)
@@ -464,16 +507,28 @@ def test_run_counting_counts_epsilon_routes():
 
 def test_state_cap():
     q4e = A.eliminate_epsilon(rx("(a|b)*a(a|b)(a|b)(a|b)(a|b)"))  # 12 states
+    monoid = RegularMonoid.generated_by(RegularCode(rx("(a|b)*a" + "(a|b)" * 6)))
     old = A.state_cap()
     try:
         A.set_state_cap(8)
-        with pytest.raises(StateCapExceededError):
+        with pytest.raises(StateCapExceededError, match="^Fsa needs more than 8 states$"):
             A.determinize(rx("(a|b)*a(a|b)(a|b)(a|b)(a|b)"))
+        A.set_state_cap(12)
+        with pytest.raises(StateCapExceededError, match="^determinize needs more than 12 states$"):
+            A.determinize(q4e)
         A.set_state_cap(20)
-        with pytest.raises(StateCapExceededError):
+        with pytest.raises(StateCapExceededError, match="^includes needs more than 20 states$"):
             A.includes(q4e, q4e)  # a true inclusion walks every pair
-        with pytest.raises(StateCapExceededError):
+        with pytest.raises(StateCapExceededError, match="^difference needs more than 20 states$"):
             A.difference(A.full_language_fsa(AB), q4e)
+        with pytest.raises(StateCapExceededError, match="^intersection needs more than 20 states$"):
+            A.intersection(q4e, q4e)
+        # base of the blow-up monoid ((a|b)*a(a|b)^6)*: the construction
+        # that hits the cap depends on how small the cap is
+        for cap, construction in ((20, "Fsa"), (50, "determinize"), (300, "difference")):
+            A.set_state_cap(cap)
+            with pytest.raises(StateCapExceededError, match=f"^{construction} needs more than {cap} states$"):
+                base(monoid)
     finally:
         A.set_state_cap(old)
     with pytest.raises(InputError):
@@ -489,3 +544,16 @@ def test_fsa_to_regex_round_trip():
             assert A.is_empty(f)
             continue
         assert A.equivalent(A.regex_to_fsa(expr, AB), f)
+
+
+def test_fsa_to_regex_deep_nesting():
+    # terms are hash-consed and rendered from an explicit stack, so no
+    # recursion depth grows with the nesting of the synthesized regex
+    d = 1000
+    f = rx("(a" * d + ")*b" * d)
+    assert A.equivalent(rx(A.fsa_to_regex(f)), f)
+    for d in (1, 2, 5, 1000):
+        nested = "(" * (d - 1) + "a*b" + ")*b" * (d - 1)
+        assert A.fsa_to_regex(rx("(" * d + "a" + ")*b" * d)) == nested
+        if d < 1000:
+            assert A.equivalent(rx(nested), rx("(" * d + "a" + ")*b" * d))
