@@ -6,19 +6,19 @@ fresh result, so concurrent use is safe. Parallel duplicate transitions
 are preserved, because run counting (:func:`is_unambiguous`) treats each
 transition as a distinct run step.
 
-Constructions that can blow up (subset construction, products) abort
-with :class:`StateCapExceededError` once they would allocate more states
-than the configured cap; the error names the construction (``Fsa``,
-``determinize``, ``intersection``, ``difference``, ``includes``,
-``shortest_word``). ``intersection`` counts (state, state) pairs;
-``difference`` and the comparisons (``includes``, ``equivalent``,
-``is_universal``, ``shortest_word``) count (state, subset) pairs of one
-walk, and the comparisons stop at their first counterexample. The subset
-steps read one row table per symbol, indexed by state.
-
-:func:`minimize` is Hopcroft's refinement on the partial DFA, where a
-missing move leads into an implicit sink block, in O(m log n) for m
-moves and n states; its blocks are numbered by their least states.
+The subset and product constructions read a view of each operand on its
+own state numbers and build no spontaneous-move-free acceptor (that is
+:func:`eliminate_epsilon`, the view renumbered); they number each subset
+when first reached and step it on each symbol once. ``difference`` and
+the comparisons (``includes``, ``equivalent``, ``is_universal``,
+``shortest_word``) are one breadth-first walk of (state, subset) pairs
+with a parent link per pair; the comparisons stop at their first
+counterexample. :func:`minimize` is Hopcroft's refinement of the partial
+DFA of :func:`determinize`, which a trimmed walk of a DFA already is.
+Constructions that can blow up abort with :class:`StateCapExceededError`
+once they would allocate more states than the configured cap, naming
+the construction (``Fsa``, ``determinize``, ``intersection``,
+``difference``, ``includes``, ``shortest_word``).
 
 ``concat`` and ``union`` build the binary left fold of any number of
 operands in one pass; :func:`regex_to_fsa` folds each group this way, so
@@ -215,93 +215,144 @@ def _bfs(seeds: Iterable, succ):
     """Breadth-first search from lazily generated ``(node, word)`` seeds;
     ``succ(u)`` lists the ``(label, v)`` edges of ``u`` and is called only
     after ``u`` is yielded. Yields each node once, when first reached,
-    with the word spelled by the path that reached it."""
-    seen = set()
+    with the parent links so far: ``links[v]`` is ``(u, label)`` for the
+    edge that first reached ``v``, or ``(None, word)`` for a seed."""
+    links: dict = {}
     queue = deque()
     for node, word in seeds:
-        if node not in seen:
-            seen.add(node)
-            queue.append((node, word))
-            yield node, word
+        if node not in links:
+            links[node] = (None, word)
+            queue.append(node)
+            yield node, links
     while queue:
-        u, word = queue.popleft()
+        u = queue.popleft()
         for label, v in succ(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append((v, word + label))
-                yield queue[-1]
+            if v not in links:
+                links[v] = (u, label)
+                queue.append(v)
+                yield v, links
 
 
-def _rows(g: Fsa) -> dict[str, list[list[int]]]:
-    """``symbol -> row`` for a spontaneous-move-free acceptor, where
-    ``row[p]`` lists the targets of ``p``'s moves on the symbol in
-    transition order."""
-    rows = {c: [[] for _ in range(g.n_states)] for c in g.alphabet.symbols}
-    for p, a, q in g.transitions:
-        rows[a][p].append(q)
-    return rows
+def _spell(links, node) -> str:
+    """The word that reached ``node``, read back along parent links."""
+    labels = []
+    while node is not None:
+        node, label = links[node]
+        labels.append(label)
+    return "".join(reversed(labels))
 
 
-def _subset_step(g: Fsa):
-    """Move function of the subset construction over a spontaneous-move-free
-    acceptor: ``step(subset, c)`` is the set of states reached on ``c``."""
-    lookup = {c: row.__getitem__ for c, row in _rows(g).items()}
+def _useful(initial: Iterable, final: Iterable, arcs: Iterable) -> set:
+    """The nodes reachable from ``initial`` that reach ``final`` along the
+    ``(p, q)`` arcs."""
+    fwd = defaultdict(list)
+    bwd = defaultdict(list)
+    for p, q in arcs:
+        fwd[p].append(q)
+        bwd[q].append(p)
+    return _reachable(initial, fwd) & _reachable(final, bwd)
 
-    def step(subset: frozenset, c: str) -> frozenset:
-        return frozenset(chain.from_iterable(map(lookup[c], subset)))
 
-    return step
+class _View:
+    """The spontaneous-move-free view of an acceptor on its own state
+    numbers: ``states``, ``initial`` and ``accepting`` hold the useful
+    positions, and ``rows[c][p]`` lists in ascending order, once each, the
+    useful positions that ``p``'s closure reaches by a move on ``c``.
+    Subsets of positions are numbered when first reached, the sink (the
+    empty one) as 0 and the initial one as ``start``; ``final[i]`` tells
+    whether subset ``i`` accepts, and ``step(i, c)`` is the number it
+    reaches on ``c``, computed once per subset and symbol."""
+
+    __slots__ = ("states", "initial", "accepting", "rows", "start", "final", "step")
+
+    def __init__(self, f: Fsa):
+        adj = f.adjacency()
+        eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
+        moves, ends = {}, []
+        for p in f.initial.union(q for _p, a, q in f.transitions if a is not None):
+            closure = _reachable((p,), eps) if eps[p] else (p,)
+            moves[p] = {(a, q) for s in closure for a, q in adj[s] if a is not None}
+            if not f.accepting.isdisjoint(closure):
+                ends.append(p)
+        useful = _useful(f.initial, ends, ((p, q) for p, out in moves.items() for _a, q in out))
+        self.states = sorted(useful)
+        self.initial = [s for s in f.initial if s in useful]
+        self.accepting = accepting = useful.intersection(ends)
+        self.rows = {c: [[] for _ in range(f.n_states)] for c in f.alphabet.symbols}
+        for p in self.states:
+            for a, q in sorted(moves[p]):
+                if q in useful:
+                    self.rows[a][p].append(q)
+
+        # no attribute in these closures: no cycle keeps a walked view alive
+        index, sets, final = {}, [], []
+        self.final = final
+        succ = {c: ([], row.__getitem__) for c, row in self.rows.items()}
+
+        def number(subset: frozenset) -> int:
+            i = index.setdefault(subset, len(sets))
+            if i == len(sets):
+                sets.append(subset)
+                final.append(not accepting.isdisjoint(subset))
+                for memo, _row in succ.values():
+                    memo.append(None)
+            return i
+
+        def step(i: int, c: str) -> int:
+            memo, row = succ[c]
+            if memo[i] is None:
+                memo[i] = number(frozenset(chain.from_iterable(map(row, sets[i]))))
+            return memo[i]
+
+        number(frozenset())
+        self.start = number(frozenset(self.initial))
+        self.step = step
 
 
-def _product(a: Fsa, starts, step, construction: str, moves: Optional[list] = None):
-    """Breadth-first lockstep walk of the spontaneous-move-free acceptor
-    ``a`` against a right side given by its start nodes and
-    ``step(node, c)``, the nodes it reaches on ``c``. Yields each pair
-    ``(state, node)`` once, when first reached, with the shortlex-least
-    word reaching it; the pairs first reached by one word are expanded
-    together, a symbol at a time, so the words come in shortlex order.
-    Pairs are numbered in that order, the start pairs (the only ones
-    reached by the empty word) first; ``moves`` collects the
-    ``(src, c, dst)`` moves between the numbers; ``construction`` names
-    the caller in a cap error."""
-    arows = _rows(a)
+def _product(a: _View, starts, step, construction: str, moves: Optional[list] = None):
+    """Breadth-first lockstep walk of the view ``a`` against the nodes
+    ``step(node, c)`` reached from ``starts``. Yields each pair ``(state,
+    node)`` when first reached, with its parent link: the number of the
+    pair and the symbol that reached it (``None, ""`` at the start). The
+    pairs first reached by one word are expanded together, a symbol at a
+    time, so pairs are numbered in shortlex order of their words; ``moves``
+    collects the numbered moves; ``construction`` names the caller in a cap
+    error."""
     index: dict = {}
-    queue = deque([("", [(p, s) for p in a.initial for s in starts])])
-    for pair in queue[0][1]:
+    group = [(p, s) for p in a.initial for s in starts]
+    for pair in group:
         _check_cap(len(index) + 1, construction)
         index[pair] = len(index)
-        yield pair, ""
+        yield pair, None, ""
+    queue = deque([group])
     while queue:
-        word, group = queue.popleft()
-        for c in a.alphabet.symbols:  # declared order gives shortlex
-            row = arows[c]
+        group = queue.popleft()
+        for c, row in a.rows.items():  # declared order gives shortlex
             fresh = []
-            for p, s in group:
-                targets = row[p]
-                for pair in product(targets, step(s, c)) if targets else ():
+            for src in group:
+                targets = row[src[0]]
+                if not targets:
+                    continue
+                i = index[src]
+                for pair in product(targets, step(src[1], c)):
                     if pair not in index:
                         _check_cap(len(index) + 1, construction)
                         index[pair] = len(index)
                         fresh.append(pair)
-                        yield pair, word + c
+                        yield pair, i, c
                     if moves is not None:
-                        moves.append((index[(p, s)], c, index[pair]))
+                        moves.append((i, c, index[pair]))
             if fresh:
-                queue.append((word + c, fresh))
+                queue.append(fresh)
 
 
 def _subset_walk(l: Fsa, r: Fsa, construction: str, moves: Optional[list] = None):
-    """The walk of ``l``'s states against the subset construction of
-    ``r``, where the empty subset stands for the sink. Yields each pair's
-    word and whether it is a witness there: a word that the pair's state
-    accepts in ``l`` and its subset rejects in ``r``."""
+    """The walk of ``l`` against the subsets of ``r``: each pair's parent
+    link and whether its state accepts in ``l`` and its subset rejects."""
     _require_same_alphabet(l.alphabet, r.alphabet)
-    a = eliminate_epsilon(l)
-    b = eliminate_epsilon(r)
-    step = _subset_step(b)
-    starts = [frozenset(b.initial)]
-    for (p, subset), word in _product(a, starts, lambda t, c: (step(t, c),), construction, moves):
-        yield word, p in a.accepting and b.accepting.isdisjoint(subset)
+    a, b = _View(l), _View(r)
+    for (p, s), i, c in _product(a, (b.start,), lambda s, c: (b.step(s, c),), construction, moves):
+        yield i, c, p in a.accepting and not b.final[s]
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +381,7 @@ def trim(f: Fsa) -> Fsa:
     Preserves parallel duplicate transitions, so run multiplicities of
     the kept states are untouched.
     """
-    fwd = defaultdict(list)
-    bwd = defaultdict(list)
-    for p, _a, q in f.transitions:
-        fwd[p].append(q)
-        bwd[q].append(p)
-    useful = _reachable(f.initial, fwd) & _reachable(f.accepting, bwd)
+    useful = _useful(f.initial, f.accepting, ((p, q) for p, _a, q in f.transitions))
     order = sorted(useful)
     index = {s: i for i, s in enumerate(order)}
     trans = [(index[p], a, index[q]) for p, a, q in f.transitions if p in useful and q in useful]
@@ -350,58 +396,42 @@ def trim(f: Fsa) -> Fsa:
 
 def eliminate_epsilon(f: Fsa) -> Fsa:
     """Equivalent spontaneous-move-free acceptor (language only; run
-    multiplicities are not preserved)."""
-    adj = f.adjacency()
-    eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
-    trans = set()
-    accepting = []
-    for p in range(f.n_states):
-        closure = _reachable((p,), eps) if eps[p] else (p,)
-        for m in closure:
-            for a, q in adj[m]:
-                if a is not None:
-                    trans.add((p, a, q))
-        if not f.accepting.isdisjoint(closure):
-            accepting.append(p)
-    return trim(Fsa(f.alphabet, f.n_states, sorted(trans), f.initial, accepting))
+    multiplicities are not preserved): the view, renumbered."""
+    v = _View(f)
+    number = {s: i for i, s in enumerate(v.states)}
+    trans = [(number[p], c, number[q]) for p in v.states for c in sorted(v.rows) for q in v.rows[c][p]]
+    return Fsa(f.alphabet, len(number), trans, map(number.get, v.initial), map(number.get, v.accepting))
 
 
 def determinize(f: Fsa) -> Fsa:
-    """Subset construction. A subset with no move on a symbol gets no
-    transition on it, so the result has no sink state."""
-    g = eliminate_epsilon(f)
-    if g.n_states == 0:
-        return g
-    step = _subset_step(g)
-    index = {g.initial: 0}
-    queue = deque([g.initial])
+    """Subset construction, states numbered breadth first. A subset with
+    no move on a symbol gets no transition on it: there is no sink."""
+    v = _View(f)
     trans = []
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
-        for c in g.alphabet.symbols:
-            target = step(subset, c)
-            if not target:
-                continue
-            if target not in index:
-                _check_cap(len(index) + 1, "determinize")
-                index[target] = len(index)
-                queue.append(target)
-            trans.append((src, c, index[target]))
-    accepting = [i for subset, i in index.items() if subset & g.accepting]
-    return Fsa(g.alphabet, len(index), trans, (0,), accepting)
+    i = 1
+    while i < len(v.final):  # subset i is state i - 1; the sink 0 is left out
+        for c in f.alphabet.symbols:
+            j = v.step(i, c)
+            if j:
+                trans.append((i - 1, c, j - 1))
+        _check_cap(len(v.final) - 1, "determinize")
+        i += 1
+    accepting = [i - 1 for i, yes in enumerate(v.final) if yes]
+    return Fsa(f.alphabet, len(v.final) - 1, trans, (0,) if v.start else (), accepting)
 
 
 def minimize(f: Fsa) -> Fsa:
-    """Minimal trimmed DFA for the language: Hopcroft's partition
-    refinement on the partial DFA of :func:`determinize`, as in Valmari,
-    "Fast brief practical DFA minimization" (2012), in O(m log n) for m
-    moves and n states. Every state of the partial DFA reaches
-    acceptance, so a missing move leads into an implicit sink block that
-    no state shares and that never has to split another block. The
-    blocks are numbered by their least states, which makes the result
-    independent of the order of the splits."""
-    d = determinize(f)
+    """Minimal trimmed DFA for the language."""
+    return _hopcroft(determinize(f))
+
+
+def _hopcroft(d: Fsa) -> Fsa:
+    """Hopcroft's refinement (Valmari, "Fast brief practical DFA
+    minimization", 2012) of a partial DFA without repeated transitions
+    whose every state reaches acceptance, in O(m log n) for m moves and n
+    states. A missing move leads into an implicit sink block that never
+    splits another block. The blocks are numbered by their least states,
+    so the result does not depend on the order of the splits."""
     n = d.n_states
     preds = [[[] for _ in range(n)] for _ in d.alphabet.symbols]
     for p, a, q in d.transitions:
@@ -467,11 +497,9 @@ def union(first: Fsa, *rest: Fsa) -> Fsa:
 
 def intersection(l: Fsa, r: Fsa) -> Fsa:
     _require_same_alphabet(l.alphabet, r.alphabet)
-    a = eliminate_epsilon(l)
-    b = eliminate_epsilon(r)
-    brows = _rows(b)
+    a, b = _View(l), _View(r)
     moves: list = []
-    pairs = [pair for pair, _word in _product(a, b.initial, lambda q, c: brows[c][q], "intersection", moves)]
+    pairs = [pair for pair, _i, _c in _product(a, b.initial, lambda q, c: b.rows[c][q], "intersection", moves)]
     acc = [i for i, (p, q) in enumerate(pairs) if p in a.accepting and q in b.accepting]
     return trim(Fsa(l.alphabet, len(pairs), moves, range(len(a.initial) * len(b.initial)), acc))
 
@@ -479,8 +507,8 @@ def intersection(l: Fsa, r: Fsa) -> Fsa:
 def difference(l: Fsa, r: Fsa) -> Fsa:
     moves: list = []
     walk = list(_subset_walk(l, r, "difference", moves))
-    init = [i for i, (word, _witness) in enumerate(walk) if not word]
-    acc = [i for i, (_word, witness) in enumerate(walk) if witness]
+    init = [i for i, (parent, _c, _witness) in enumerate(walk) if parent is None]
+    acc = [i for i, (_parent, _c, witness) in enumerate(walk) if witness]
     return trim(Fsa(l.alphabet, len(walk), moves, init, acc))
 
 
@@ -534,18 +562,22 @@ def is_universal(f: Fsa) -> bool:
 
 def includes(l: Fsa, r: Fsa) -> bool:
     """True iff the language of ``l`` contains the language of ``r``."""
-    return not any(witness for _word, witness in _subset_walk(r, l, "includes"))
+    return not any(witness for _i, _c, witness in _subset_walk(r, l, "includes"))
 
 
 def equivalent(l: Fsa, r: Fsa) -> bool:
     return includes(l, r) and includes(r, l)
 
 
-def shortest_word(f: Fsa) -> Optional[Word]:
-    """Shortlex-least accepted word, or None when the language is empty."""
-    walk = _subset_walk(f, empty_fsa(f.alphabet), "shortest_word")
-    word = next((word for word, witness in walk if witness), None)
-    return None if word is None else Word(f.alphabet, word)
+def shortest_word(f: Fsa, excluded: Optional[Fsa] = None) -> Optional[Word]:
+    """Shortlex-least word accepted by ``f`` and not by ``excluded``, or
+    None when there is none. The walk stops at that word."""
+    links = []
+    for i, c, witness in _subset_walk(f, empty_fsa(f.alphabet) if excluded is None else excluded, "shortest_word"):
+        links.append((i, c))
+        if witness:
+            return Word(f.alphabet, _spell(links, len(links) - 1))
+    return None
 
 
 def enumerate_finite_language(f: Fsa) -> list[Word]:
@@ -592,15 +624,16 @@ def ambiguity_witness(f: Fsa) -> Optional[Word]:
     return None if text is None else Word(f.alphabet, text)
 
 
-def _shortest_raw_paths(f: Fsa, seeds, reverse: bool) -> dict[int, str]:
-    """Shortest word (by arc count) from a seed to each state, following
-    raw transitions; with ``reverse`` the words lead into the seeds."""
+def _raw_word(f: Fsa, seeds, target: int, reverse: bool) -> str:
+    """A shortest word (by arc count) from a seed to ``target`` following
+    raw transitions; with ``reverse``, from ``target`` into a seed."""
     adj = defaultdict(list)
     for p, a, q in f.transitions:
         src, dst = (q, p) if reverse else (p, q)
         adj[src].append(("" if a is None else a, dst))
-    words = dict(_bfs(((s, "") for s in seeds), adj.__getitem__))
-    return {s: w[::-1] for s, w in words.items()} if reverse else words
+    for v, links in _bfs(((s, "") for s in seeds), adj.__getitem__):
+        if v == target:
+            return _spell(links, v)[::-1] if reverse else _spell(links, v)
 
 
 def _find_ambiguous_word(f: Fsa) -> Optional[str]:
@@ -614,19 +647,14 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
         else:
             sym_by_src[p].append((a, q))
 
-    completions: Optional[dict[int, str]] = None
-
     def completion(state: int) -> str:
-        nonlocal completions
-        if completions is None:
-            completions = _shortest_raw_paths(f, f.accepting, reverse=True)
-        return completions[state]
+        return _raw_word(f, f.accepting, state, reverse=True)
 
     # Any spontaneous cycle among useful states yields unboundedly many
     # runs for some accepted word.
     topo, cycle = _postorder(range(n), eps_out)
     if topo is None:
-        return _shortest_raw_paths(f, f.initial, reverse=False)[cycle] + completion(cycle)
+        return _raw_word(f, f.initial, cycle, reverse=False) + completion(cycle)
 
     # Saturating count (0, 1, >=2) of distinct spontaneous paths p -> q,
     # kept only for the q where a run can stop or read a symbol: the
@@ -659,10 +687,11 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
     access: dict[int, str] = {}
     reads: dict[int, dict[tuple[str, int], int]] = {}  # position -> moves_from
     moves: dict[int, dict[str, list[int]]] = {}
-    for p, word in _bfs(((p, "") for p in f.initial), lambda p: reads[p]):
+    for p, links in _bfs(((p, "") for p in f.initial), lambda p: reads[p]):
+        u, a = links[p]
+        access[p] = word = a if u is None else access[u] + a
         if tails[p] >= 2:
             return word  # two spontaneous routes into acceptance
-        access[p] = word
         reads[p] = moves_from(p)
         moves[p] = defaultdict(list)
         for (a, q), k in reads[p].items():
@@ -689,9 +718,9 @@ def _find_ambiguous_word(f: Fsa) -> Optional[str]:
         ((access[p] + a, ts) for p, by in moves.items() for a, ts in by.items()),
     )
     seeds = ((pair(q1, q2), word) for word, ts in forks for i, q1 in enumerate(ts) for q2 in ts[i + 1:])
-    for (p, q), word in _bfs(seeds, pair_moves):
+    for (p, q), links in _bfs(seeds, pair_moves):
         if tails[p] >= 1 and tails[q] >= 1:
-            return word
+            return _spell(links, (p, q))
     return None
 
 

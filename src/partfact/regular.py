@@ -132,8 +132,9 @@ def base(m: RegularMonoid) -> RegularCode:
     elements that are not products of two nonempty elements."""
     nonempty = A.difference(m.lang, A.epsilon_fsa(m.alphabet))
     decomposable = A.concat(nonempty, nonempty)
-    # deterministic on the left, each word reaches one pair of the walk
-    b = A.minimize(A.difference(A.determinize(nonempty), decomposable))
+    # deterministic on the left, each word reaches one pair of the walk;
+    # the trimmed walk is a DFA numbered breadth first, minimize's input
+    b = A._hopcroft(A.difference(A.determinize(nonempty), decomposable))
     if b.n_states == 0:
         raise PreconditionError("the trivial monoid has no base")
     return RegularCode(b)
@@ -165,7 +166,7 @@ def is_complete(x: RegularCode) -> bool:
 def completeness_witness(x: RegularCode) -> Optional[Word]:
     """Shortlex-least word that is a factor of no message; None iff the
     code is complete."""
-    return A.shortest_word(A.difference(A.full_language_fsa(x.alphabet), A.factor_closure(A.star(x.lang))))
+    return A.shortest_word(A.full_language_fsa(x.alphabet), A.factor_closure(A.star(x.lang)))
 
 
 def extension_witness(x: RegularCode) -> Optional[Word]:

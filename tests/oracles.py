@@ -1,6 +1,8 @@
 """Test-only helpers: a bounded brute-force oracle and relation search
-for finite codes, a bounded word enumerator for acceptors, Moore's
-minimization, and an audit bound for the co-occurrence analysis.
+for finite codes, a bounded word enumerator for acceptors, reference
+automaton constructions (spontaneous-move elimination to an acceptor,
+subset construction and product walks over it, Moore's minimization),
+and an audit bound for the co-occurrence analysis.
 
 The brute-force oracle and relation search share no code with the
 exact analyses in ``partfact.finite_code``, so the tests can use them as
@@ -10,12 +12,23 @@ independent ground truth.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from collections import defaultdict, deque
+from itertools import product
 from typing import Optional, Sequence
 
 from partfact import FiniteCode, PreconditionError, Word
 from partfact.finite_code import _SuffixGraph
-from partfact.fsa import Fsa, determinize, eliminate_epsilon
+from partfact.fsa import (
+    Fsa,
+    _check_cap,
+    _reachable,
+    _require_same_alphabet,
+    empty_fsa,
+    factor_closure,
+    full_language_fsa,
+    star,
+    trim,
+)
 
 
 def enumerate_words(f: Fsa, max_len: int) -> list[Word]:
@@ -40,6 +53,140 @@ def enumerate_words(f: Fsa, max_len: int) -> list[Word]:
                     nxt.append((prefix + c, target))
         level = nxt
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference automaton constructions: each builds the spontaneous-move-free
+# acceptor first and runs the subset construction and the product walks
+# over it, recomputing every subset step; the references for the view,
+# the numbered subsets and the parent-linked walk of ``partfact.fsa``.
+
+
+def eliminate_epsilon(f: Fsa) -> Fsa:
+    """Closure of every state, then a trim."""
+    adj = f.adjacency()
+    eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
+    trans = set()
+    accepting = []
+    for p in range(f.n_states):
+        closure = _reachable((p,), eps)
+        trans.update((p, a, q) for m in closure for a, q in adj[m] if a is not None)
+        if closure & f.accepting:
+            accepting.append(p)
+    return trim(Fsa(f.alphabet, f.n_states, sorted(trans), f.initial, accepting))
+
+
+def _rows(g: Fsa) -> dict[str, list[list[int]]]:
+    """``rows[c][p]``: the targets of ``p``'s moves on ``c``, in transition
+    order."""
+    rows = {c: [[] for _ in range(g.n_states)] for c in g.alphabet.symbols}
+    for p, a, q in g.transitions:
+        rows[a][p].append(q)
+    return rows
+
+
+def _subset_step(g: Fsa):
+    rows = _rows(g)
+    return lambda subset, c: frozenset(q for p in subset for q in rows[c][p])
+
+
+def determinize(f: Fsa) -> Fsa:
+    g = eliminate_epsilon(f)
+    if g.n_states == 0:
+        return g
+    step = _subset_step(g)
+    index = {frozenset(g.initial): 0}
+    queue = deque(index)
+    trans = []
+    while queue:
+        subset = queue.popleft()
+        for c in g.alphabet.symbols:
+            target = step(subset, c)
+            if not target:
+                continue
+            if target not in index:
+                _check_cap(len(index) + 1, "determinize")
+                index[target] = len(index)
+                queue.append(target)
+            trans.append((index[subset], c, index[target]))
+    accepting = [i for subset, i in index.items() if subset & g.accepting]
+    return Fsa(g.alphabet, len(index), trans, (0,), accepting)
+
+
+def _product(a: Fsa, starts, step, construction: str, moves: list):
+    """Breadth-first lockstep walk of ``a`` against ``step``, each pair
+    yielded with its shortlex-least word, the pairs first reached by one
+    word expanded together."""
+    rows = _rows(a)
+    index: dict = {}
+    queue = deque([("", [(p, s) for p in sorted(a.initial) for s in starts])])
+    for pair in queue[0][1]:
+        _check_cap(len(index) + 1, construction)
+        index[pair] = len(index)
+        yield pair, ""
+    while queue:
+        word, group = queue.popleft()
+        for c in a.alphabet.symbols:
+            fresh = []
+            for p, s in group:
+                targets = rows[c][p]
+                for pair in product(targets, step(s, c)) if targets else ():
+                    if pair not in index:
+                        _check_cap(len(index) + 1, construction)
+                        index[pair] = len(index)
+                        fresh.append(pair)
+                        yield pair, word + c
+                    moves.append((index[(p, s)], c, index[pair]))
+            if fresh:
+                queue.append((word + c, fresh))
+
+
+def _subset_walk(l: Fsa, r: Fsa, construction: str, moves: list):
+    _require_same_alphabet(l.alphabet, r.alphabet)
+    a, b = eliminate_epsilon(l), eliminate_epsilon(r)
+    step = _subset_step(b)
+    walk = _product(a, [frozenset(b.initial)], lambda t, c: (step(t, c),), construction, moves)
+    for (p, subset), word in walk:
+        yield word, p in a.accepting and not subset & b.accepting
+
+
+def intersection(l: Fsa, r: Fsa) -> Fsa:
+    _require_same_alphabet(l.alphabet, r.alphabet)
+    a, b = eliminate_epsilon(l), eliminate_epsilon(r)
+    moves: list = []
+    brows = _rows(b)
+    walk = _product(a, sorted(b.initial), lambda q, c: brows[c][q], "intersection", moves)
+    pairs = [pair for pair, _word in walk]
+    acc = [i for i, (p, q) in enumerate(pairs) if p in a.accepting and q in b.accepting]
+    return trim(Fsa(l.alphabet, len(pairs), moves, range(len(a.initial) * len(b.initial)), acc))
+
+
+def difference(l: Fsa, r: Fsa) -> Fsa:
+    moves: list = []
+    walk = list(_subset_walk(l, r, "difference", moves))
+    init = [i for i, (word, _witness) in enumerate(walk) if not word]
+    acc = [i for i, (_word, witness) in enumerate(walk) if witness]
+    return trim(Fsa(l.alphabet, len(walk), moves, init, acc))
+
+
+def includes(l: Fsa, r: Fsa) -> bool:
+    return not any(witness for _word, witness in _subset_walk(r, l, "includes", []))
+
+
+def equivalent(l: Fsa, r: Fsa) -> bool:
+    return includes(l, r) and includes(r, l)
+
+
+def shortest_word(f: Fsa) -> Optional[Word]:
+    walk = _subset_walk(f, empty_fsa(f.alphabet), "shortest_word", [])
+    word = next((word for word, witness in walk if witness), None)
+    return None if word is None else Word(f.alphabet, word)
+
+
+def completeness_witness(lang: Fsa) -> Optional[Word]:
+    """Shortlex-least word that is a factor of no word of ``lang``*, from
+    the whole difference Σ* minus the factor closure."""
+    return shortest_word(difference(full_language_fsa(lang.alphabet), factor_closure(star(lang))))
 
 
 def moore_minimize(f: Fsa) -> Fsa:

@@ -4,9 +4,11 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
+import oracles
 from conftest import all_texts, count_runs, has_ambiguous_word, language_set, random_fsa
 from oracles import enumerate_words, moore_minimize
 from partfact import (
@@ -19,6 +21,7 @@ from partfact import (
     RegularMonoid,
     StateCapExceededError,
     base,
+    completeness_witness,
 )
 from partfact import fsa as A
 from partfact.fsa import Fsa
@@ -193,11 +196,14 @@ def test_shortest_word():
     assert A.shortest_word(A.empty_fsa(AB)) is None
     st = A.star(A.word_set_fsa(AB, AB.words(["aa", "ba"])))
     assert A.shortest_word(A.difference(A.full_language_fsa(AB), A.factor_closure(st))).text == "bb"
+    assert A.shortest_word(A.full_language_fsa(AB), A.factor_closure(st)).text == "bb"
     # one word reaches several states; the later one leads to the least word
     assert A.shortest_word(Fsa(AB, 4, [(0, "b", 2), (1, "a", 3)], (0, 1), (2, 3))).text == "a"
     nfa = Fsa(AB, 5, [(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "a", 4)], (0,), (3, 4))
     assert A.shortest_word(nfa).text == "aa"
     assert A.shortest_word(A.difference(nfa, rx("aa"))).text == "ab"
+    assert A.shortest_word(nfa, rx("aa")).text == "ab"
+    assert A.shortest_word(nfa, rx("aa|ab")) is None
 
 
 def test_acceptors_without_useful_states():
@@ -367,6 +373,115 @@ def test_minimize_is_near_linear_on_a_unary_word():
     assert elapsed < 2.0
 
 
+def test_difference_is_near_linear_on_a_long_word():
+    # the walk keeps one parent link per pair and spells no word; a word
+    # per pair holds n^2 / 2 letters, 512 MB at n = 32 000
+    rng = random.Random(19)
+    text = "".join(rng.choice("ab") for _ in range(32000))
+    w, eps = A.word_fsa(AB.word(text)), A.epsilon_fsa(AB)
+    start = time.perf_counter()
+    d = A.difference(w, eps)
+    elapsed = time.perf_counter() - start
+    assert _fields(d) == (32001, w.transitions, (0,), (32000,))
+    assert elapsed < 2.0
+    tracemalloc.start()
+    try:
+        A.difference(A.word_fsa(AB.word(text[:4000])), eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20  # about 3.6 MB; words would add 8 MB
+
+
+def _random_enfa(rng, alphabet):
+    """A random acceptor with spontaneous moves that now and then has a
+    spontaneous cycle, a dead state, an unreachable state and repeated
+    transitions."""
+    f = random_fsa(rng, alphabet, max_states=6, eps_prob=0.3)
+    n, trans, accepting = f.n_states, list(f.transitions), set(f.accepting)
+    symbols = alphabet.symbols
+    if rng.random() < 0.5:
+        p, q = rng.randrange(n), rng.randrange(n)
+        trans += [(p, None, q), (q, None, p)]
+    if rng.random() < 0.5:  # entered, never left, not accepting
+        trans += [(rng.randrange(n), rng.choice(symbols), n), (n, rng.choice(symbols), n)]
+        n += 1
+    if rng.random() < 0.5:  # accepting, never entered
+        trans.append((n, rng.choice(symbols), rng.randrange(n)))
+        accepting.add(n)
+        n += 1
+    if trans and rng.random() < 0.5:
+        trans += rng.sample(trans, rng.randint(1, len(trans)))
+    rng.shuffle(trans)
+    return Fsa(alphabet, n, trans, f.initial, accepting)
+
+
+def _outcome(op, *args):
+    try:
+        out = op(*args)
+    except StateCapExceededError as exc:
+        return "cap", str(exc)
+    return "ok", _fields(out) if isinstance(out, Fsa) else out
+
+
+def test_constructions_match_reference_oracles():
+    # the view, the numbered subsets and the parent-linked walk against
+    # references that build the spontaneous-move-free acceptor first: the
+    # same fields, verdicts and words, and the same cap errors at small
+    # caps. An input larger than the cap made the references fail on that
+    # acceptor ("Fsa needs ..."), which the view never builds.
+    checks = [
+        ("eliminate_epsilon", 1, A.eliminate_epsilon, oracles.eliminate_epsilon),
+        ("determinize", 1, A.determinize, oracles.determinize),
+        ("minimize", 1, A.minimize, moore_minimize),
+        ("shortest_word", 1, A.shortest_word, oracles.shortest_word),
+        ("intersection", 2, A.intersection, oracles.intersection),
+        ("difference", 2, A.difference, oracles.difference),
+        ("includes", 2, A.includes, oracles.includes),
+        ("equivalent", 2, A.equivalent, oracles.equivalent),
+        # one early-stopping walk, which decides whenever the whole
+        # difference behind the reference did, and finds the same word
+        ("completeness_witness", 1, lambda c: completeness_witness(RegularCode(c)),
+         oracles.completeness_witness),
+    ]
+    rng = random.Random(43)
+    old = A.state_cap()
+    counts = {"ok": 0, "cap": 0, "oversize": 0, "early": 0}
+    for alphabet in (AB, Alphabet("abc")):
+        for _ in range(300):
+            f, g = _random_enfa(rng, alphabet), _random_enfa(rng, alphabet)
+            code = A.difference(f, A.epsilon_fsa(alphabet))
+            uncapped = {}
+            for cap in (old, 10, 6, 3):
+                A.set_state_cap(cap)
+                try:
+                    for name, arity, new, ref in checks:
+                        if name == "completeness_witness":
+                            if code.n_states == 0:
+                                continue
+                            args = (code,)
+                        else:
+                            args = (f, g)[:arity]
+                        got, want = _outcome(new, *args), _outcome(ref, *args)
+                        uncapped.setdefault(name, got)
+                        if got == want:
+                            counts[got[0]] += 1
+                            continue
+                        assert cap != old and want[0] == "cap", (name, cap, args)
+                        assert got[0] == "cap" or got == uncapped[name], (name, cap, args)
+                        if name == "completeness_witness":
+                            counts["early"] += got[0] == "ok"
+                        else:
+                            assert want[1] == f"Fsa needs more than {cap} states"
+                            assert max(a.n_states for a in args) > cap
+                            counts["oversize"] += 1
+                finally:
+                    A.set_state_cap(old)
+    # the corpus decides, hits the same caps, has inputs larger than the
+    # cap, and finds witnesses where the whole difference hit the cap
+    assert min(counts.values()) > 0, counts
+
+
 def test_double_complement_round_trip():
     rng = random.Random(5)
     sigma_star = A.full_language_fsa(AB)
@@ -378,15 +493,20 @@ def test_double_complement_round_trip():
 _SEEDED_PRODUCTS = """
 import json, random
 from conftest import random_fsa
-from partfact import Alphabet
+from partfact import Alphabet, RegularCode, RegularMonoid, base, completeness_witness
 from partfact import fsa as A
 rng = random.Random(17)
 ab = Alphabet("ab")
 out = []
 for _ in range(200):
     f, g = random_fsa(rng, ab), random_fsa(rng, ab)
-    for h in (A.intersection(f, g), A.difference(f, g)):
+    for h in (A.intersection(f, g), A.difference(f, g), A.determinize(f)):
         out.append([h.n_states, h.transitions, sorted(h.initial), sorted(h.accepting)])
+    code = A.difference(f, A.epsilon_fsa(ab))
+    if code.n_states:
+        h = base(RegularMonoid.generated_by(RegularCode(code))).lang
+        out.append([h.n_states, h.transitions, sorted(h.initial), sorted(h.accepting)])
+        out.append(str(completeness_witness(RegularCode(code))))
     # the folds, in the order their sets iterate
     for h in (A.union(f, g, f), A.concat(f, g, f)):
         out.append([h.n_states, h.transitions, list(h.initial), list(h.accepting)])
@@ -395,6 +515,17 @@ for _ in range(100):
     out.append([h.n_states, h.transitions, list(h.initial), list(h.accepting)])
 print(json.dumps(out))
 """
+
+
+def test_nested_star_comparison():
+    # the walk has 5053 pairs over few subsets of about d states each; each
+    # step of a subset is computed once, not once per pair (1.4 s before)
+    d = 100
+    f = rx("(" * d + "a" + ")*b" * d)
+    g = rx(A.fsa_to_regex(f))
+    start = time.perf_counter()
+    assert A.equivalent(g, f)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_products_do_not_depend_on_string_hashing():

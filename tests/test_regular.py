@@ -118,6 +118,19 @@ def test_base_examples():
         assert A.accepts(b, t) == (A.accepts(m.lang, t) and not split)
 
 
+def test_base_is_hopcroft_on_its_walk():
+    # the trimmed walk is a DFA numbered breadth first, so Hopcroft's step
+    # on it gives minimize of it, field by field
+    for n in range(2, 12):
+        for expr in ("(a|b)*a", "b*a"):
+            m = RegularMonoid.generated_by(code_rx(expr + "(a|b)" * n))
+            nonempty = A.difference(m.lang, A.epsilon_fsa(AB))
+            want = A.minimize(A.difference(A.determinize(nonempty), A.concat(nonempty, nonempty)))
+            got = base(m).lang
+            assert (got.n_states, got.transitions, got.initial, got.accepting) == (
+                want.n_states, want.transitions, want.initial, want.accepting)
+
+
 def test_base_of_trivial_monoid():
     with pytest.raises(PreconditionError):
         base(RegularMonoid(A.epsilon_fsa(AB)))
