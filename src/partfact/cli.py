@@ -33,11 +33,11 @@ from .regular import (
     RegularCode,
     RegularMonoid,
     RegularPartition,
+    _base_partition,
+    _extension,
     base,
-    canonical_free_factorization,
     coding_ambiguity_witness,
     completeness_witness,
-    extension_witness,
     free_product_check,
     gen_ud,
     is_base,
@@ -46,11 +46,8 @@ from .regular import (
     is_full,
     is_maximal,
     is_maximal_ud,
-    is_submonoid,
     is_thin,
     lemma2_check,
-    regular_is_coding,
-    regular_is_ud,
     ud_ambiguity_witness,
 )
 from .words import Alphabet
@@ -143,11 +140,11 @@ class Document:
     def monoid(self) -> RegularMonoid:
         """The input language as a monoid: taken verbatim when it already
         is a submonoid, otherwise the star of the code."""
-        if A.accepts(self.code_fsa, ""):
-            if is_submonoid(self.code_fsa):
-                return RegularMonoid(self.code_fsa, _trusted=True)
+        if not A.accepts(self.code_fsa, ""):
+            return RegularMonoid.generated_by(RegularCode(self.code_fsa))
+        if not A.includes(self.code_fsa, A.concat(self.code_fsa, self.code_fsa)):
             raise PreconditionError("language contains the empty word but is not a submonoid")
-        return RegularMonoid.generated_by(RegularCode(self.code_fsa))
+        return RegularMonoid(self.code_fsa, _trusted=True)
 
 
 def _build_partition(code, classes) -> Partition:
@@ -171,6 +168,20 @@ def _language_value(f: Fsa):
         return A.fsa_to_regex(f)
 
 
+def _canonical_classes(unambiguous, ta) -> dict:
+    """X0 the unambiguous part, if any, then X1, X2, ... the rest."""
+    classes = {"X0": _word_texts(unambiguous)} if unambiguous else {}
+    classes.update((f"X{i}", _word_texts(c)) for i, c in enumerate(ta, start=1))
+    return classes
+
+
+def _ambiguity_report(witness) -> dict:
+    """The verdict of an ambiguity search and its message, if any."""
+    if witness is None:
+        return {"verdict": True}
+    return {"verdict": False, "ambiguous_message": witness.text}
+
+
 def _relation_value(rel) -> dict:
     return {
         "left": [p.text for p in rel.left.parts],
@@ -189,12 +200,7 @@ def cmd_ud(doc: Document, args) -> dict:
         if witness is not None:
             report["relation"] = _relation_value(witness)
         return report
-    code = RegularCode(doc.code_fsa)
-    verdict = regular_is_ud(code)
-    report = {"verdict": verdict}
-    if not verdict:
-        report["ambiguous_message"] = ud_ambiguity_witness(code).text
-    return report
+    return _ambiguity_report(ud_ambiguity_witness(RegularCode(doc.code_fsa)))
 
 
 def cmd_prime_relations(doc: Document, args) -> dict:
@@ -204,13 +210,7 @@ def cmd_prime_relations(doc: Document, args) -> dict:
 
 
 def cmd_canonical(doc: Document, args) -> dict:
-    unambiguous, ta = canonical_partition(doc.require_finite())
-    classes = {}
-    if unambiguous:
-        classes["X0"] = _word_texts(unambiguous)
-    for i, c in enumerate(ta, start=1):
-        classes[f"X{i}"] = _word_texts(c)
-    return {"classes": classes}
+    return {"classes": _canonical_classes(*canonical_partition(doc.require_finite()))}
 
 
 def cmd_characteristic(doc: Document, args) -> dict:
@@ -220,12 +220,7 @@ def cmd_characteristic(doc: Document, args) -> dict:
 
 
 def cmd_check_partition(doc: Document, args) -> dict:
-    partition = doc.regular_partition()
-    verdict = regular_is_coding(partition)
-    report = {"verdict": verdict}
-    if not verdict:
-        report["ambiguous_message"] = coding_ambiguity_witness(partition).text
-    return report
+    return _ambiguity_report(coding_ambiguity_witness(doc.regular_partition()))
 
 
 def cmd_factorize(doc: Document, args) -> dict:
@@ -291,8 +286,8 @@ def cmd_maximal_ud(doc: Document, args) -> dict:
 
 def cmd_witness(doc: Document, args) -> dict:
     code = RegularCode(doc.code_fsa)
-    v = completeness_witness(code)
-    w = extension_witness(code)
+    v = completeness_witness(code)  # None for a complete code, so for any code over one letter
+    w = None if v is None else _extension(code, v)
     return {"witness": {"v": None if v is None else v.text, "w": None if w is None else w.text}}
 
 
@@ -320,13 +315,8 @@ def cmd_lemma2(doc: Document, args) -> dict:
 
 
 def cmd_decompose(doc: Document, args) -> dict:
-    free_component, indecomposable = canonical_free_factorization(doc.monoid())
-    classes = {}
-    if free_component is not None:
-        classes["X0"] = _language_value(base(RegularMonoid(free_component, _trusted=True)).lang)
-    for i, f in enumerate(indecomposable, start=1):
-        classes[f"X{i}"] = _language_value(base(RegularMonoid(f, _trusted=True)).lang)
-    return {"classes": classes}
+    # each factor's base is its class of the canonical partition of the base
+    return {"classes": _canonical_classes(*_base_partition(doc.monoid()))}
 
 
 COMMANDS = {

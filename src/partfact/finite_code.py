@@ -26,7 +26,7 @@ from collections import defaultdict
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AlphabetMismatchError, InputError, PreconditionError
-from .fsa import _reachable
+from .fsa import _reachable, _useful
 from .words import Alphabet, Word, _Frozen
 
 
@@ -302,12 +302,7 @@ class _SuffixGraph:
         full_arcs = [(self.source, node_ids[r], pair) for r, pair in init_arcs]
         full_arcs += [(src, self.term if dst == -1 else dst, ann) for src, dst, ann in arcs]
 
-        fwd = defaultdict(list)
-        bwd = defaultdict(list)
-        for src, dst, _ann in full_arcs:
-            fwd[src].append(dst)
-            bwd[dst].append(src)
-        useful = _reachable((self.source,), fwd) & _reachable((self.term,), bwd)
+        useful = _useful((self.source,), (self.term,), ((src, dst) for src, dst, _ann in full_arcs))
         self.arcs = [a for a in full_arcs if a[0] in useful and a[1] in useful]
 
     def _arc_weight(self, src: int, dst: int, ann: tuple[str, ...]) -> int:

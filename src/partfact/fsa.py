@@ -362,12 +362,13 @@ def _subset_walk(l: Fsa, r: Fsa, construction: str, moves: Optional[list] = None
 def accepts(f: Fsa, word) -> bool:
     """Membership test; ``word`` may be a Word or a plain string."""
     text = word.text if isinstance(word, Word) else word
+    for c in text:
+        if c not in f.alphabet:
+            raise InputError(f"symbol {c!r} is not in alphabet {f.alphabet}")
     adj = f.adjacency()
     eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
     current = _reachable(f.initial, eps)
     for c in text:
-        if c not in f.alphabet:
-            raise InputError(f"symbol {c!r} is not in alphabet {f.alphabet}")
         nxt = {q for p in current for a, q in adj[p] if a == c}
         if not nxt:
             return False

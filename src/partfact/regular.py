@@ -178,10 +178,13 @@ def extension_witness(x: RegularCode) -> Optional[Word]:
     if len(x.alphabet) < 2:
         raise PreconditionError("the extension construction needs a second letter")
     v = completeness_witness(x)
-    if v is None:
-        return None
-    first = v.text[0]
-    b = next(s for s in x.alphabet.symbols if s != first)
+    return None if v is None else _extension(x, v)
+
+
+def _extension(x: RegularCode, v: Word) -> Word:
+    """The extension word of :func:`extension_witness` for the missing
+    factor v."""
+    b = next(s for s in x.alphabet.symbols if s != v.text[0])
     return x.alphabet.word(v.text + b * (len(v) - 1))
 
 
@@ -217,15 +220,15 @@ def _block_parser(classes: Sequence[Fsa]) -> Fsa:
 
 
 def regular_is_ud(x: RegularCode) -> bool:
-    """Unique decipherability, decided by run-uniqueness of the parser
-    that reads one code word at a time through the minimal acceptor of X
-    and marks each boundary with a spontaneous move back to its start."""
-    return A.is_unambiguous(A.plus(A.minimize(x.lang)))
+    """Unique decipherability: no message has two factorizations."""
+    return ud_ambiguity_witness(x) is None
 
 
 def ud_ambiguity_witness(x: RegularCode) -> Optional[Word]:
-    """A message with two distinct factorizations into code words; None
-    when the code is uniquely decipherable."""
+    """A message with two distinct factorizations into code words, found
+    as a word with two runs of the parser that reads one code word at a
+    time through the minimal acceptor of X and marks each boundary with a
+    spontaneous move back to its start; None when X is UD."""
     return A.ambiguity_witness(A.plus(A.minimize(x.lang)))
 
 
@@ -233,7 +236,7 @@ def regular_is_coding(p: RegularPartition) -> bool:
     """Decide whether the partition is coding: accepting runs of the
     block parser are in bijection with block factorizations, so the
     partition is coding iff the parser is run-unambiguous."""
-    return A.is_unambiguous(_block_parser(p.classes))
+    return coding_ambiguity_witness(p) is None
 
 
 def coding_ambiguity_witness(p: RegularPartition) -> Optional[Word]:
@@ -275,7 +278,11 @@ def is_maximal(x: RegularCode) -> bool:
 def is_full(m: RegularMonoid) -> bool:
     """Whether the monoid is maximal in the free-product order, decided
     through its base (which must be thin; every regular base is)."""
-    b = base(m)
+    return _is_full_base(base(m))
+
+
+def _is_full_base(b: RegularCode) -> bool:
+    """Fullness of the monoid with base b: b is thin and complete."""
     if is_dense(b.lang):
         raise PreconditionError("fullness is only decided for monoids with a thin base")
     return is_complete(b)
@@ -284,9 +291,10 @@ def is_full(m: RegularMonoid) -> bool:
 def is_maximal_ud(x: RegularCode) -> bool:
     """For a code that is a base: maximal among uniquely decipherable
     codes iff it is uniquely decipherable and generates a full monoid."""
-    if not is_base(x):
+    b = base(RegularMonoid.generated_by(x))
+    if not A.equivalent(x.lang, b.lang):
         raise PreconditionError("the code is not a base")
-    return regular_is_ud(x) and is_full(RegularMonoid.generated_by(x))
+    return regular_is_ud(x) and _is_full_base(b)
 
 
 def lemma2_check(x: RegularCode, w: Word) -> bool:
@@ -328,6 +336,18 @@ def gen_ud(p: RegularPartition, seq: Sequence[int]) -> RegularCode:
     return RegularCode(A.concat(*(A.plus(p.classes[i]) for i in seq)))
 
 
+def _base_partition(m: RegularMonoid) -> tuple[frozenset[Word], list[frozenset[Word]]]:
+    """The canonical partition of the monoid's base, which must be finite.
+    Each class U generates a factor with base U: U lies in the base and
+    U* in the monoid."""
+    b = base(m)
+    try:
+        words = A.enumerate_finite_language(b.lang)
+    except PreconditionError:
+        raise PreconditionError("the monoid's base is infinite; decomposition is not supported")
+    return canonical_partition(FiniteCode(m.alphabet, words))
+
+
 def canonical_free_factorization(m: RegularMonoid) -> tuple[Optional[Fsa], list[Fsa]]:
     """Canonical decomposition of a finitely generated regular monoid:
     the free component generated by the unambiguous part of the base and
@@ -335,13 +355,7 @@ def canonical_free_factorization(m: RegularMonoid) -> tuple[Optional[Fsa], list[
 
     Only monoids with a finite base are handled; an infinite base raises.
     """
-    b = base(m)
-    try:
-        words = A.enumerate_finite_language(b.lang)
-    except PreconditionError:
-        raise PreconditionError("the monoid's base is infinite; decomposition is not supported")
-    finite_base = FiniteCode(m.alphabet, words)
-    unambiguous, ta = canonical_partition(finite_base)
+    unambiguous, ta = _base_partition(m)
     free_component = None
     if unambiguous:
         free_component = A.minimize(A.star(A.word_set_fsa(m.alphabet, unambiguous)))

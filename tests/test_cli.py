@@ -1,13 +1,18 @@
+import collections
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from partfact import Alphabet, cli
 from partfact import fsa as A
+from partfact import regular as R
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 EXAMPLE1_DOC = {
     "alphabet": ["0", "1"],
@@ -204,6 +209,9 @@ def test_witness(tmp_path):
     a2 = {"alphabet": ["0", "1"], "kind": "regex", "regex": "(0|1)(0|1)"}
     report = run_json(["witness"], a2, tmp_path)
     assert report["witness"] == {"v": None, "w": None}
+    # every nonempty code over one letter is complete: nothing to extend
+    unary = {"alphabet": ["a"], "kind": "regex", "regex": "aa|aaa"}
+    assert run_json(["witness"], unary, tmp_path)["witness"] == {"v": None, "w": None}
 
 
 def test_free_product(tmp_path):
@@ -394,3 +402,52 @@ def test_table_format_labels_each_batch_input(tmp_path):
     # a single input has no label
     code, out, _ = run_cli(["ud", str(ok)])
     assert code == 0 and "input: " not in out
+
+
+def in_process(command, doc, *options):
+    args = cli.build_parser().parse_args([command, *options])
+    return cli.run_document(command, json.dumps(doc), args)
+
+
+def test_benchmark_cli_reports(monkeypatch):
+    # the reports the benchmark's CLI cases check, without its processes
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    expected = json.loads((BENCH / "expected" / "cli.json").read_text(encoding="utf-8"))
+    for case, command, options, doc in workloads.CLI_CASES:
+        options = [o[1] if isinstance(o, tuple) else o for o in options]
+        report = in_process(command, workloads.CLI_DOCS[doc], *options)
+        del report["elapsed_ms"]
+        assert json.loads(json.dumps(report)) == expected[case], case
+
+
+def test_each_command_asks_each_question_once(monkeypatch):
+    counts = collections.Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return counted
+
+    for name in ("minimize", "_find_ambiguous_word", "_subset_walk"):
+        count(A, name)
+    monkeypatch.setattr(cli, "base", count(R, "base"))
+
+    ab = {"alphabet": ["a", "b"], "kind": "regex"}
+    not_coding = dict(EXAMPLE3_DOC, partition={"X0": "a|ad*b", "X1": "bb|c|bc*bb"})
+    for command, doc, expected in [
+        ("ud", dict(ab, regex="a|ab|ba"), {"minimize": 1, "_find_ambiguous_word": 1}),
+        ("check-partition", not_coding, {"minimize": 2, "_find_ambiguous_word": 1}),
+        ("witness", dict(ab, regex="aa|ba"), {"_subset_walk": 1}),
+        ("maximal-ud", dict(ab, regex="a|b"), {"base": 1, "_subset_walk": 6}),
+        ("decompose", EXAMPLE1_DOC, {"base": 1, "minimize": 0}),
+    ]:
+        counts.clear()
+        report = in_process(command, doc)
+        assert {name: counts[name] for name in expected} == expected, (command, report)

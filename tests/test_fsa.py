@@ -180,6 +180,10 @@ def test_closure_examples():
     st = A.star(A.word_set_fsa(AB, AB.words(["aa", "ba"])))
     assert not A.accepts(st, "abab")
     assert lang(st, 4) == {"", "aa", "ba", "aaaa", "aaba", "baaa", "baba"}
+    # every symbol is checked, also those after the last run has died
+    for text in ("a?", "b?"):
+        with pytest.raises(InputError):
+            A.accepts(rx("a*"), text)
 
 
 def test_decide_examples():
