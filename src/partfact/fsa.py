@@ -8,17 +8,18 @@ transition as a distinct run step.
 
 The subset and product constructions read a view of each operand on its
 own state numbers and build no spontaneous-move-free acceptor (that is
-:func:`eliminate_epsilon`, the view renumbered); they number each subset
-when first reached and step it on each symbol once. ``difference`` and
-the comparisons (``includes``, ``equivalent``, ``is_universal``,
-``shortest_word``) are one breadth-first walk of (state, subset) pairs
-with a parent link per pair; the comparisons stop at their first
-counterexample. :func:`minimize` is Hopcroft's refinement of the partial
-DFA of :func:`determinize`, which a trimmed walk of a DFA already is.
-Constructions that can blow up abort with :class:`StateCapExceededError`
-once they would allocate more states than the configured cap, naming
-the construction (``Fsa``, ``determinize``, ``intersection``,
-``difference``, ``includes``, ``shortest_word``).
+:func:`eliminate_epsilon`, the view renumbered); they number each subset,
+an int, when first reached and step it on each symbol once.
+``difference`` and the comparisons (``includes``, ``equivalent``,
+``is_universal``, ``shortest_word``) are one breadth-first walk of
+(state, subset) pairs with a parent link per pair; the comparisons stop
+at their first counterexample. :func:`minimize` is Hopcroft's refinement
+of :func:`determinize`'s subset loop, which also builds the DFA of one
+operand minus another. Constructions that can blow up abort with
+:class:`StateCapExceededError` once they would allocate more states than
+the configured cap, naming the construction (``Fsa``, ``determinize``,
+``intersection``, ``difference`` for the walk and for the DFA of a
+difference, ``includes``, ``shortest_word``).
 
 ``concat`` and ``union`` build the binary left fold of any number of
 operands in one pass; :func:`regex_to_fsa` folds each group this way, so
@@ -27,8 +28,9 @@ a word of n letters compiles in time linear in n, not quadratic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict, deque
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import (
@@ -257,13 +259,9 @@ class _View:
     """The spontaneous-move-free view of an acceptor on its own state
     numbers: ``states``, ``initial`` and ``accepting`` hold the useful
     positions, and ``rows[c][p]`` lists in ascending order, once each, the
-    useful positions that ``p``'s closure reaches by a move on ``c``.
-    Subsets of positions are numbered when first reached, the sink (the
-    empty one) as 0 and the initial one as ``start``; ``final[i]`` tells
-    whether subset ``i`` accepts, and ``step(i, c)`` is the number it
-    reaches on ``c``, computed once per subset and symbol."""
+    useful positions that ``p``'s closure reaches by a move on ``c``."""
 
-    __slots__ = ("states", "initial", "accepting", "rows", "start", "final", "step")
+    __slots__ = ("states", "initial", "accepting", "rows")
 
     def __init__(self, f: Fsa):
         adj = f.adjacency()
@@ -277,71 +275,131 @@ class _View:
         useful = _useful(f.initial, ends, ((p, q) for p, out in moves.items() for _a, q in out))
         self.states = sorted(useful)
         self.initial = [s for s in f.initial if s in useful]
-        self.accepting = accepting = useful.intersection(ends)
+        self.accepting = useful.intersection(ends)
         self.rows = {c: [[] for _ in range(f.n_states)] for c in f.alphabet.symbols}
         for p in self.states:
             for a, q in sorted(moves[p]):
                 if q in useful:
                     self.rows[a][p].append(q)
 
-        # no attribute in these closures: no cycle keeps a walked view alive
-        index, sets, final = {}, [], []
-        self.final = final
-        succ = {c: ([], row.__getitem__) for c, row in self.rows.items()}
 
-        def number(subset: frozenset) -> int:
-            i = index.setdefault(subset, len(sets))
-            if i == len(sets):
-                sets.append(subset)
-                final.append(not accepting.isdisjoint(subset))
-                for memo, _row in succ.values():
-                    memo.append(None)
-            return i
+def _meets(subset: int, mask: int) -> bool:
+    """Whether the subset holds a position of the bitmask ``mask``."""
+    return bool(mask >> ~subset & 1 if subset < 0 else subset & mask)
 
+
+class _Subsets:
+    """A view's subsets as ints: the subset of one position ``states[r]``
+    is ``~r``, any other the bitmask with bit ``r`` for each position
+    ``states[r]``, so a deterministic view's subsets stay small however
+    many positions it has. They are numbered when first reached: the sink
+    (0) as 0, the initial one as ``start``. ``sets[i]`` is subset ``i``,
+    ``mask`` the bitmask of the accepting positions, and ``step(i, c)``
+    the number ``i`` reaches on ``c``: its position's targets, or the OR
+    of its positions' targets, bit by bit for up to four positions (or one
+    per four bytes of a wide view), else per byte."""
+
+    __slots__ = ("mask", "start", "sets", "step")
+
+    def __init__(self, v: _View):
+        rank = {p: r for r, p in enumerate(v.states)}
+
+        def key(positions) -> int:
+            ranks = [rank[p] for p in positions]
+            return ~ranks[0] if len(ranks) == 1 else sum(1 << r for r in ranks)
+
+        self.mask = sum(1 << rank[p] for p in v.accepting)
+        index = {0: 0}
+        self.start = index.setdefault(key(v.initial), 1)
+        self.sets = sets = list(index)  # the sink, then the initial subset unless empty
+        n_bytes = (len(v.states) + 7) // 8
+        few = max(4, n_bytes // 4)  # a subset this small steps bit by bit
+        succ = {  # symbol -> (memo, targets of each position as a subset, OR table per byte of a subset)
+            c: ({}, [key(out) if out else 0 for out in map(row.__getitem__, v.states)], [None] * n_bytes)
+            for c, row in v.rows.items()
+        }
+
+        # step reads no attribute: no cycle keeps the subsets of a walk alive
         def step(i: int, c: str) -> int:
-            memo, row = succ[c]
-            if memo[i] is None:
-                memo[i] = number(frozenset(chain.from_iterable(map(row, sets[i]))))
-            return memo[i]
+            memo, targets, tables = succ[c]
+            j = memo.get(i)
+            if j is None:
+                s = sets[i]
+                if s < 0:
+                    t = targets[~s]
+                else:
+                    t = 0
+                    if s.bit_count() <= few:
+                        while s:
+                            r = s.bit_length() - 1
+                            u = targets[r]
+                            t |= 1 << ~u if u < 0 else u
+                            s ^= 1 << r
+                    else:
+                        for k, byte in enumerate(s.to_bytes(n_bytes, "little")):
+                            if byte:
+                                table = tables[k]
+                                if table is None:
+                                    table = tables[k] = [None] * 256
+                                u = table[byte]
+                                if u is None:
+                                    u = 0
+                                    for r in range(8 * k, 8 * k + byte.bit_length()):
+                                        if byte >> r - 8 * k & 1:
+                                            u |= 1 << ~targets[r] if targets[r] < 0 else targets[r]
+                                    table[byte] = u
+                                t |= u
+                    if t and not t & t - 1:  # one position
+                        t = ~(t.bit_length() - 1)
+                j = memo[i] = index.setdefault(t, len(sets))
+                if j == len(sets):
+                    sets.append(t)
+            return j
 
-        number(frozenset())
-        self.start = number(frozenset(self.initial))
         self.step = step
 
 
-def _product(a: _View, starts, step, construction: str, moves: Optional[list] = None):
-    """Breadth-first lockstep walk of the view ``a`` against the nodes
-    ``step(node, c)`` reached from ``starts``. Yields each pair ``(state,
+def _product(a: _View, b, construction: str, moves: Optional[list] = None):
+    """Breadth-first lockstep walk of the view ``a`` against the subsets
+    ``b`` or the positions of the view ``b``. Yields each pair ``(state,
     node)`` when first reached, with its parent link: the number of the
     pair and the symbol that reached it (``None, ""`` at the start). The
     pairs first reached by one word are expanded together, a symbol at a
     time, so pairs are numbered in shortlex order of their words; ``moves``
     collects the numbered moves; ``construction`` names the caller in a cap
-    error."""
+    error. A pair is keyed ``node * width + state``."""
+    step = b.step if isinstance(b, _Subsets) else None
+    width = a.states[-1] + 1 if a.states else 1
     index: dict = {}
-    group = [(p, s) for p in a.initial for s in starts]
-    for pair in group:
+    group = [s * width + p for p in a.initial for s in ((b.start,) if step else b.initial)]
+    for key in group:
         _check_cap(len(index) + 1, construction)
-        index[pair] = len(index)
-        yield pair, None, ""
+        index[key] = len(index)
+        yield key % width, key // width, None, ""
     queue = deque([group])
     while queue:
         group = queue.popleft()
         for c, row in a.rows.items():  # declared order gives shortlex
             fresh = []
             for src in group:
-                targets = row[src[0]]
+                targets = row[src % width]
                 if not targets:
                     continue
                 i = index[src]
-                for pair in product(targets, step(src[1], c)):
-                    if pair not in index:
+                if step:
+                    offset = step(src // width, c) * width
+                else:  # the keys, targets outer as in itertools.product
+                    offset, targets = 0, [n * width + q for q in targets for n in b.rows[c][src // width]]
+                for q in targets:
+                    key = offset + q
+                    j = index.get(key)
+                    if j is None:
                         _check_cap(len(index) + 1, construction)
-                        index[pair] = len(index)
-                        fresh.append(pair)
-                        yield pair, i, c
+                        j = index[key] = len(index)
+                        fresh.append(key)
+                        yield key % width, key // width, i, c
                     if moves is not None:
-                        moves.append((i, c, index[pair]))
+                        moves.append((i, c, j))
             if fresh:
                 queue.append(fresh)
 
@@ -350,9 +408,9 @@ def _subset_walk(l: Fsa, r: Fsa, construction: str, moves: Optional[list] = None
     """The walk of ``l`` against the subsets of ``r``: each pair's parent
     link and whether its state accepts in ``l`` and its subset rejects."""
     _require_same_alphabet(l.alphabet, r.alphabet)
-    a, b = _View(l), _View(r)
-    for (p, s), i, c in _product(a, (b.start,), lambda s, c: (b.step(s, c),), construction, moves):
-        yield i, c, p in a.accepting and not b.final[s]
+    a, b = _View(l), _Subsets(_View(r))
+    for p, s, i, c in _product(a, b, construction, moves):
+        yield i, c, p in a.accepting and not _meets(b.sets[s], b.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -404,46 +462,64 @@ def eliminate_epsilon(f: Fsa) -> Fsa:
     return Fsa(f.alphabet, len(number), trans, map(number.get, v.initial), map(number.get, v.accepting))
 
 
+def _subset_dfa(l: Fsa, r: Optional[Fsa] = None) -> tuple:
+    """The :class:`Fsa` arguments of the subset construction of ``l``, or
+    of ``l`` beside ``r`` for ``l`` minus ``r``, breadth first, no sink: a
+    subset accepts when it holds an accepting position of ``l`` and none
+    of ``r``; one with no position of ``l`` is dead."""
+    v = _View(l if r is None else union(l, r))
+    subsets = _Subsets(v)
+    own = (1 << bisect_left(v.states, l.n_states)) - 1  # the positions of l
+    keep, drop = subsets.mask & own, subsets.mask & ~own
+    construction = "determinize" if r is None else "difference"
+    symbols, sets, step = l.alphabet.symbols, subsets.sets, subsets.step
+    trans = []
+    i = 1
+    while i < len(sets):  # subset i is state i - 1
+        for c in symbols:
+            j = step(i, c)
+            if j:
+                trans.append((i - 1, c, j - 1))
+        _check_cap(len(sets) - 1, construction)
+        i += 1
+    accepting = [i - 1 for i, s in enumerate(sets) if _meets(s, keep) and not _meets(s, drop)]
+    return l.alphabet, len(sets) - 1, trans, (0,) if subsets.start else (), accepting
+
+
 def determinize(f: Fsa) -> Fsa:
     """Subset construction, states numbered breadth first. A subset with
     no move on a symbol gets no transition on it: there is no sink."""
-    v = _View(f)
-    trans = []
-    i = 1
-    while i < len(v.final):  # subset i is state i - 1; the sink 0 is left out
-        for c in f.alphabet.symbols:
-            j = v.step(i, c)
-            if j:
-                trans.append((i - 1, c, j - 1))
-        _check_cap(len(v.final) - 1, "determinize")
-        i += 1
-    accepting = [i - 1 for i, yes in enumerate(v.final) if yes]
-    return Fsa(f.alphabet, len(v.final) - 1, trans, (0,) if v.start else (), accepting)
+    return Fsa(*_subset_dfa(f))
 
 
 def minimize(f: Fsa) -> Fsa:
     """Minimal trimmed DFA for the language."""
-    return _hopcroft(determinize(f))
+    d = determinize(f)
+    return _hopcroft(d.alphabet, d.n_states, d.transitions, d.initial, d.accepting)
 
 
-def _hopcroft(d: Fsa) -> Fsa:
+def _hopcroft(alphabet: Alphabet, n: int, transitions, initial, accepting) -> Fsa:
     """Hopcroft's refinement (Valmari, "Fast brief practical DFA
-    minimization", 2012) of a partial DFA without repeated transitions
-    whose every state reaches acceptance, in O(m log n) for m moves and n
-    states. A missing move leads into an implicit sink block that never
-    splits another block. The blocks are numbered by their least states,
-    so the result does not depend on the order of the splits."""
-    n = d.n_states
-    preds = [[[] for _ in range(n)] for _ in d.alphabet.symbols]
-    for p, a, q in d.transitions:
-        preds[d.alphabet._rank[a]][q].append(p)
-    block = [0] * n
-    members: list[set[int]] = []
-    for part in (list(d.accepting), [s for s in range(n) if s not in d.accepting]):
-        if part:
-            for s in part:
-                block[s] = len(members)
-            members.append(set(part))
+    minimization", 2012) of a partial DFA without repeated transitions,
+    given as the arguments of an :class:`Fsa`, in O(m log n) for m moves
+    and n states. A missing move, or one into a state that reaches no
+    acceptance, leads into an implicit sink block that never splits
+    another block. The blocks are numbered by their least states, so the
+    result does not depend on the order of the splits."""
+    preds = [[[] for _ in range(n)] for _ in alphabet.symbols]
+    for p, a, q in transitions:
+        preds[alphabet._rank[a]][q].append(p)
+    # block -1 holds the dead states; the live ones start in blocks 0 (accepting) and 1
+    live, block = list(accepting), [-1] * n
+    for s in live:
+        block[s] = 0
+    for q in live:  # grows as it goes
+        for row in preds:
+            for p in row[q]:
+                if block[p] < 0:
+                    block[p] = 1
+                    live.append(p)
+    members: list[set[int]] = [set(part) for part in (accepting, live[len(accepting):]) if part]
     # Both starting blocks wait. The part split off a block is never the
     # larger one, and it waits whether or not the block still does.
     waiting = list(range(len(members)))
@@ -467,14 +543,13 @@ def _hopcroft(d: Fsa) -> Fsa:
                     block[s] = len(members)
                 waiting.append(len(members))
                 members.append(part)
-    number: dict[int, int] = {}
+    number: dict[int, int] = {-1: -1}
     for b in block:
-        number.setdefault(b, len(number))
+        number.setdefault(b, len(number) - 1)
     cls = [number[b] for b in block]
-    trans = sorted({(cls[p], a, cls[q]) for p, a, q in d.transitions})
-    init = {cls[s] for s in d.initial}
-    acc = {cls[s] for s in d.accepting}
-    return Fsa(d.alphabet, len(number), trans, init, acc)
+    trans = sorted({(cls[p], a, cls[q]) for p, a, q in transitions if cls[q] >= 0})
+    init = {cls[s] for s in initial if cls[s] >= 0}
+    return Fsa(alphabet, len(number) - 1, trans, init, map(cls.__getitem__, accepting))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +575,7 @@ def intersection(l: Fsa, r: Fsa) -> Fsa:
     _require_same_alphabet(l.alphabet, r.alphabet)
     a, b = _View(l), _View(r)
     moves: list = []
-    pairs = [pair for pair, _i, _c in _product(a, b.initial, lambda q, c: b.rows[c][q], "intersection", moves)]
+    pairs = [(p, q) for p, q, _i, _c in _product(a, b, "intersection", moves)]
     acc = [i for i, (p, q) in enumerate(pairs) if p in a.accepting and q in b.accepting]
     return trim(Fsa(l.alphabet, len(pairs), moves, range(len(a.initial) * len(b.initial)), acc))
 

@@ -131,10 +131,9 @@ def base(m: RegularMonoid) -> RegularCode:
     """The unique minimal generating set of the monoid: the nonempty
     elements that are not products of two nonempty elements."""
     nonempty = A.difference(m.lang, A.epsilon_fsa(m.alphabet))
-    decomposable = A.concat(nonempty, nonempty)
-    # deterministic on the left, each word reaches one pair of the walk;
-    # the trimmed walk is a DFA numbered breadth first, minimize's input
-    b = A._hopcroft(A.difference(A.determinize(nonempty), decomposable))
+    # one subset construction, numbered breadth first like determinize's;
+    # the refinement drops its dead subsets
+    b = A._hopcroft(*A._subset_dfa(nonempty, A.concat(nonempty, nonempty)))
     if b.n_states == 0:
         raise PreconditionError("the trivial monoid has no base")
     return RegularCode(b)

@@ -50,6 +50,38 @@ def random_fsa(rng: random.Random, alphabet: Alphabet, max_states: int = 5,
     return Fsa(alphabet, n, trans, initial, accepting)
 
 
+def random_regex(rng, depth):
+    """AST: "a", "b", "_" (empty word), or (op, operand...) for op in
+    alt, cat, star, plus."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(("a", "b", "_"))
+    op = rng.choice(("alt", "cat", "cat", "star", "plus"))
+    if op in ("star", "plus"):
+        return (op, random_regex(rng, depth - 1))
+    return (op, random_regex(rng, depth - 1), random_regex(rng, depth - 1))
+
+
+def dialect_text(node, rng, level=0):
+    # level 0: alternation context, 1: concatenation, 2: repetition operand
+    def space():
+        return rng.choice(("", "", " "))
+
+    if isinstance(node, str):
+        text, grouped = node, False
+    elif node[0] == "alt":
+        text = dialect_text(node[1], rng) + space() + "|" + space() + dialect_text(node[2], rng)
+        grouped = level >= 1
+    elif node[0] == "cat":
+        text = dialect_text(node[1], rng, 1) + space() + dialect_text(node[2], rng, 1)
+        grouped = level >= 2
+    else:
+        text = dialect_text(node[1], rng, 2) + space() + ("*" if node[0] == "star" else "+")
+        grouped = False
+    if grouped or rng.random() < 0.1:
+        text = "(" + space() + text + space() + ")"
+    return text
+
+
 def all_texts(alphabet: Alphabet, max_len: int):
     for length in range(max_len + 1):
         for tup in itertools.product(alphabet.symbols, repeat=length):

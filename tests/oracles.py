@@ -2,7 +2,8 @@
 for finite codes, a bounded word enumerator for acceptors, reference
 automaton constructions (spontaneous-move elimination to an acceptor,
 subset construction and product walks over it, Moore's minimization),
-and an audit bound for the co-occurrence analysis.
+the base of a regular monoid by two differences, and an audit bound for
+the co-occurrence analysis.
 
 The brute-force oracle and relation search share no code with the
 exact analyses in ``partfact.finite_code``, so the tests can use them as
@@ -16,7 +17,8 @@ from collections import defaultdict, deque
 from itertools import product
 from typing import Optional, Sequence
 
-from partfact import FiniteCode, PreconditionError, Word
+from partfact import FiniteCode, PreconditionError, RegularMonoid, Word
+from partfact import fsa as A
 from partfact.finite_code import _SuffixGraph
 from partfact.fsa import (
     Fsa,
@@ -217,6 +219,15 @@ def moore_minimize(f: Fsa) -> Fsa:
     init = {block[s] for s in d.initial}
     acc = {block[s] for s in d.accepting}
     return Fsa(d.alphabet, max(block) + 1, trans, init, acc)
+
+
+def base(m: RegularMonoid) -> Fsa:
+    """The base of ``m`` as the minimal DFA of its nonempty words N minus
+    N·N, built by the library's walk of the determinized N against the
+    subsets of N·N: the reference for ``partfact.regular.base``, which
+    builds one subset construction of N and N·N side by side."""
+    nonempty = A.difference(m.lang, A.epsilon_fsa(m.alphabet))
+    return A.minimize(A.difference(A.determinize(nonempty), A.concat(nonempty, nonempty)))
 
 
 def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]:

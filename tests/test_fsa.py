@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from conftest import all_texts, count_runs, has_ambiguous_word, language_set, random_fsa
+from conftest import all_texts, count_runs, dialect_text, has_ambiguous_word, language_set, random_fsa, random_regex
 from oracles import enumerate_words, moore_minimize
 from partfact import (
     Alphabet,
@@ -76,38 +76,6 @@ def test_regex_structure():
     assert lang(rx(" a | b b ")) == {"a", "bb"}  # whitespace ignored
 
 
-def _random_regex(rng, depth):
-    """AST: "a", "b", "_" (empty word), or (op, operand...) for op in
-    alt, cat, star, plus."""
-    if depth == 0 or rng.random() < 0.25:
-        return rng.choice(("a", "b", "_"))
-    op = rng.choice(("alt", "cat", "cat", "star", "plus"))
-    if op in ("star", "plus"):
-        return (op, _random_regex(rng, depth - 1))
-    return (op, _random_regex(rng, depth - 1), _random_regex(rng, depth - 1))
-
-
-def _dialect_text(node, rng, level=0):
-    # level 0: alternation context, 1: concatenation, 2: repetition operand
-    def space():
-        return rng.choice(("", "", " "))
-
-    if isinstance(node, str):
-        text, grouped = node, False
-    elif node[0] == "alt":
-        text = _dialect_text(node[1], rng) + space() + "|" + space() + _dialect_text(node[2], rng)
-        grouped = level >= 1
-    elif node[0] == "cat":
-        text = _dialect_text(node[1], rng, 1) + space() + _dialect_text(node[2], rng, 1)
-        grouped = level >= 2
-    else:
-        text = _dialect_text(node[1], rng, 2) + space() + ("*" if node[0] == "star" else "+")
-        grouped = False
-    if grouped or rng.random() < 0.1:
-        text = "(" + space() + text + space() + ")"
-    return text
-
-
 def _python_pattern(node):
     if isinstance(node, str):
         return "" if node == "_" else node
@@ -124,8 +92,8 @@ def test_regex_matches_python_re():
     for _ in range(300):
         # Depth 4: Python's backtracking matcher can take exponential time
         # on deeper nests of loops over nullable bodies.
-        node = _random_regex(rng, 4)
-        text = _dialect_text(node, rng)
+        node = random_regex(rng, 4)
+        text = dialect_text(node, rng)
         pattern = re.compile(_python_pattern(node))
         assert lang(rx(text)) == {t for t in texts if pattern.fullmatch(t)}, (text, pattern.pattern)
 
@@ -303,7 +271,7 @@ def test_state_sets_iterate_in_ascending_order():
         assert _fields(A.trim(A.trim(f))) == _fields(A.trim(f))
     # regex constructions are trimmed as they are built
     for _ in range(300):
-        f = rx(_dialect_text(_random_regex(rng, 5), rng))
+        f = rx(dialect_text(random_regex(rng, 5), rng))
         assert _fields(f) == _fields(A.trim(f))
 
 
@@ -364,6 +332,51 @@ def test_minimize_matches_moore_oracle():
         merged += got.n_states < A.determinize(f).n_states
     # the corpus exercises the empty language and real merging
     assert empty > 100 and merged > 300
+
+
+def test_hopcroft_drops_dead_states():
+    # the refinement drops the states that reach no accepting state, so on
+    # a DFA with dead states, numbered anywhere among the live ones, it
+    # gives what it gives on the trimmed DFA, field by field
+    rng = random.Random(53)
+    dead = empty = 0
+    for _ in range(400):
+        d = A.determinize(random_fsa(rng, AB, max_states=8, eps_prob=0.2))
+        n, k = d.n_states, rng.randint(1, 6)
+        moves = {(p, a): q for p, a, q in d.transitions}
+        for p in range(n + k):
+            for a in AB.symbols:  # live states may move to dead ones, dead ones only to dead ones
+                if (p, a) not in moves and (p >= n or rng.random() < 0.5) and rng.random() < 0.7:
+                    moves[(p, a)] = rng.randrange(n, n + k)
+        order = list(range(n + k))
+        rng.shuffle(order)
+        initial = d.initial if n else (rng.randrange(k),)
+        e = Fsa(AB, n + k, [(order[p], a, order[q]) for (p, a), q in moves.items()],
+                [order[s] for s in initial], [order[s] for s in d.accepting])
+        trimmed = A.trim(e)
+        got = A._hopcroft(e.alphabet, e.n_states, e.transitions, e.initial, e.accepting)
+        want = A._hopcroft(trimmed.alphabet, trimmed.n_states, trimmed.transitions, trimmed.initial,
+                           trimmed.accepting)
+        assert _fields(got) == _fields(want), e
+        dead += trimmed.n_states < e.n_states
+        empty += got.n_states == 0
+    assert dead == 400 and empty > 10
+
+
+def test_subsets_of_a_deterministic_view_stay_small():
+    # a subset of one position is keyed by its rank, not by a bitmask as
+    # wide as the view, so determinize of a long chain stays linear: 16 000
+    # letters peak at about 14 MB, where bitmasks took 45 MB
+    rng = random.Random(61)
+    w = A.word_fsa(Alphabet("abcd").word("".join(rng.choice("abcd") for _ in range(16000))))
+    tracemalloc.start()
+    try:
+        d = A.determinize(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _fields(d) == _fields(w)
+    assert peak < 24 * 2**20
 
 
 def test_minimize_is_near_linear_on_a_unary_word():
@@ -428,62 +441,112 @@ def _outcome(op, *args):
     return "ok", _fields(out) if isinstance(out, Fsa) else out
 
 
+# each construction against its reference: (name, arity, new, reference)
+_ORACLE_CHECKS = [
+    ("eliminate_epsilon", 1, A.eliminate_epsilon, oracles.eliminate_epsilon),
+    ("determinize", 1, A.determinize, oracles.determinize),
+    ("minimize", 1, A.minimize, moore_minimize),
+    ("shortest_word", 1, A.shortest_word, oracles.shortest_word),
+    ("intersection", 2, A.intersection, oracles.intersection),
+    ("difference", 2, A.difference, oracles.difference),
+    ("includes", 2, A.includes, oracles.includes),
+    ("equivalent", 2, A.equivalent, oracles.equivalent),
+    # one early-stopping walk, which decides whenever the whole
+    # difference behind the reference did, and finds the same word
+    ("completeness_witness", 1, lambda c: completeness_witness(RegularCode(c)),
+     oracles.completeness_witness),
+]
+
+
+def _match_oracles(f, g, caps, counts):
+    """Every check on ``f`` and ``g`` at each cap, the first cap being the
+    default: the same fields, verdicts, words and cap errors, except
+    where the reference alone hits the cap."""
+    old = A.state_cap()
+    code = A.difference(f, A.epsilon_fsa(f.alphabet))
+    uncapped = {}
+    for cap in caps:
+        A.set_state_cap(cap)
+        try:
+            for name, arity, new, ref in _ORACLE_CHECKS:
+                if name == "completeness_witness":
+                    if code.n_states == 0:
+                        continue
+                    args = (code,)
+                else:
+                    args = (f, g)[:arity]
+                got, want = _outcome(new, *args), _outcome(ref, *args)
+                uncapped.setdefault(name, got)
+                if got == want:
+                    counts[got[0]] += 1
+                    continue
+                assert cap != old and want[0] == "cap", (name, cap, args)
+                assert got[0] == "cap" or got == uncapped[name], (name, cap, args)
+                if name == "completeness_witness":
+                    counts["early"] += got[0] == "ok"
+                else:
+                    assert want[1] == f"Fsa needs more than {cap} states"
+                    assert max(a.n_states for a in args) > cap
+                    counts["oversize"] += 1
+        finally:
+            A.set_state_cap(old)
+
+
 def test_constructions_match_reference_oracles():
     # the view, the numbered subsets and the parent-linked walk against
     # references that build the spontaneous-move-free acceptor first: the
     # same fields, verdicts and words, and the same cap errors at small
     # caps. An input larger than the cap made the references fail on that
     # acceptor ("Fsa needs ..."), which the view never builds.
-    checks = [
-        ("eliminate_epsilon", 1, A.eliminate_epsilon, oracles.eliminate_epsilon),
-        ("determinize", 1, A.determinize, oracles.determinize),
-        ("minimize", 1, A.minimize, moore_minimize),
-        ("shortest_word", 1, A.shortest_word, oracles.shortest_word),
-        ("intersection", 2, A.intersection, oracles.intersection),
-        ("difference", 2, A.difference, oracles.difference),
-        ("includes", 2, A.includes, oracles.includes),
-        ("equivalent", 2, A.equivalent, oracles.equivalent),
-        # one early-stopping walk, which decides whenever the whole
-        # difference behind the reference did, and finds the same word
-        ("completeness_witness", 1, lambda c: completeness_witness(RegularCode(c)),
-         oracles.completeness_witness),
-    ]
     rng = random.Random(43)
-    old = A.state_cap()
     counts = {"ok": 0, "cap": 0, "oversize": 0, "early": 0}
     for alphabet in (AB, Alphabet("abc")):
         for _ in range(300):
             f, g = _random_enfa(rng, alphabet), _random_enfa(rng, alphabet)
-            code = A.difference(f, A.epsilon_fsa(alphabet))
-            uncapped = {}
-            for cap in (old, 10, 6, 3):
-                A.set_state_cap(cap)
-                try:
-                    for name, arity, new, ref in checks:
-                        if name == "completeness_witness":
-                            if code.n_states == 0:
-                                continue
-                            args = (code,)
-                        else:
-                            args = (f, g)[:arity]
-                        got, want = _outcome(new, *args), _outcome(ref, *args)
-                        uncapped.setdefault(name, got)
-                        if got == want:
-                            counts[got[0]] += 1
-                            continue
-                        assert cap != old and want[0] == "cap", (name, cap, args)
-                        assert got[0] == "cap" or got == uncapped[name], (name, cap, args)
-                        if name == "completeness_witness":
-                            counts["early"] += got[0] == "ok"
-                        else:
-                            assert want[1] == f"Fsa needs more than {cap} states"
-                            assert max(a.n_states for a in args) > cap
-                            counts["oversize"] += 1
-                finally:
-                    A.set_state_cap(old)
+            _match_oracles(f, g, (A.state_cap(), 10, 6, 3), counts)
     # the corpus decides, hits the same caps, has inputs larger than the
     # cap, and finds witnesses where the whole difference hit the cap
     assert min(counts.values()) > 0, counts
+
+
+def _larger_enfa(rng, alphabet):
+    """A random acceptor of 20-80 states with spontaneous moves."""
+    n = rng.randint(20, 80)
+    trans = [(rng.randrange(n), None if rng.random() < 0.15 else rng.choice(alphabet.symbols), rng.randrange(n))
+             for _ in range(rng.randint(n, 2 * n))]
+    initial = rng.sample(range(n), rng.randint(1, 4))
+    accepting = rng.sample(range(n), rng.randint(1, n // 2))
+    return Fsa(alphabet, n, trans, initial, accepting)
+
+
+def test_constructions_match_reference_oracles_on_larger_acceptors():
+    # views of up to 80 positions span several bytes of a subset, and
+    # their subsets fall on both sides of the bit-by-bit threshold
+    rng = random.Random(47)
+    counts = {"ok": 0, "cap": 0, "oversize": 0, "early": 0}
+    widths = set()
+    sparse = dense = 0
+    for alphabet in (AB, Alphabet("abc")):
+        for _ in range(30):
+            f, g = _larger_enfa(rng, alphabet), _larger_enfa(rng, alphabet)
+            _match_oracles(f, g, (A.state_cap(), 150, 40, 12), counts)
+            v = A._View(f)
+            widths.add(len(v.states) // 8)
+            sizes = [1 if s < 0 else s.bit_count() for s in _all_subsets(v)]
+            sparse += sum(size <= 4 for size in sizes)
+            dense += sum(size > 4 for size in sizes)
+    assert min(counts.values()) > 0, counts
+    assert {0, 1, 2, 3, 4} <= widths and sparse > 1000 and dense > 1000, (widths, sparse, dense)
+
+
+def _all_subsets(v):
+    subsets = A._Subsets(v)
+    i = 0
+    while i < len(subsets.sets):
+        for c in v.rows:
+            subsets.step(i, c)
+        i += 1
+    return subsets.sets
 
 
 def test_double_complement_round_trip():
@@ -517,6 +580,15 @@ for _ in range(200):
 for _ in range(100):
     h = A.regex_to_fsa(" | ".join(rng.choice(("ab", "(a|b)*", "b+a", "_")) for _ in range(20)), ab)
     out.append([h.n_states, h.transitions, list(h.initial), list(h.accepting)])
+# subsets of several bytes, and bases of the blow-up families
+for _ in range(20):
+    h = A.determinize(random_fsa(rng, ab, max_states=60, eps_prob=0.2))
+    out.append([h.n_states, h.transitions, list(h.initial), list(h.accepting)])
+for n in range(1, 8):
+    for expr in ("b*a", "(a|b)*a", "(b*a)+"):
+        m = RegularMonoid.generated_by(RegularCode(A.regex_to_fsa(expr + "(a|b)" * n, ab)))
+        h = base(m).lang
+        out.append([h.n_states, h.transitions, list(h.initial), list(h.accepting)])
 print(json.dumps(out))
 """
 
@@ -659,8 +731,9 @@ def test_state_cap():
         with pytest.raises(StateCapExceededError, match="^intersection needs more than 20 states$"):
             A.intersection(q4e, q4e)
         # base of the blow-up monoid ((a|b)*a(a|b)^6)*: the construction
-        # that hits the cap depends on how small the cap is
-        for cap, construction in ((20, "Fsa"), (50, "determinize"), (300, "difference")):
+        # that hits the cap depends on how small the cap is; from 50 on it
+        # is the one subset construction of nonempty - nonempty^2
+        for cap, construction in ((20, "Fsa"), (50, "difference"), (300, "difference")):
             A.set_state_cap(cap)
             with pytest.raises(StateCapExceededError, match=f"^{construction} needs more than {cap} states$"):
                 base(monoid)

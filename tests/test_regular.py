@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import language_set, random_finite_code
+import oracles
+from conftest import dialect_text, language_set, random_finite_code, random_regex
 from partfact import (
     Alphabet,
     FiniteCode,
@@ -118,17 +119,28 @@ def test_base_examples():
         assert A.accepts(b, t) == (A.accepts(m.lang, t) and not split)
 
 
-def test_base_is_hopcroft_on_its_walk():
-    # the trimmed walk is a DFA numbered breadth first, so Hopcroft's step
-    # on it gives minimize of it, field by field
-    for n in range(2, 12):
-        for expr in ("(a|b)*a", "b*a"):
-            m = RegularMonoid.generated_by(code_rx(expr + "(a|b)" * n))
-            nonempty = A.difference(m.lang, A.epsilon_fsa(AB))
-            want = A.minimize(A.difference(A.determinize(nonempty), A.concat(nonempty, nonempty)))
-            got = base(m).lang
-            assert (got.n_states, got.transitions, got.initial, got.accepting) == (
-                want.n_states, want.transitions, want.initial, want.accepting)
+def test_base_matches_the_difference_construction():
+    # the one subset construction, its dead subsets dropped by the
+    # refinement, against the minimal DFA of the walk of the determinized
+    # nonempty part against its square, field by field: the four blow-up
+    # families and seeded random regex monoids
+    monoids = []
+    for n in range(1, 12):
+        tail = "(a|b)" * n
+        for expr in (f"b*a{tail}", f"(a|b)*a{tail}", f"(b*a)+{tail}", f"(a|b)*a{tail}|(a|b)*b{tail}"):
+            monoids.append(RegularMonoid.generated_by(code_rx(expr)))
+    rng = random.Random(29)
+    while len(monoids) < 44 + 320:
+        code = A.difference(A.regex_to_fsa(dialect_text(random_regex(rng, 5), rng), AB), A.epsilon_fsa(AB))
+        if code.n_states:
+            monoids.append(RegularMonoid.generated_by(RegularCode(code)))
+    sizes = set()
+    for m in monoids:
+        got, want = base(m).lang, oracles.base(m)
+        assert (got.n_states, got.transitions, got.initial, got.accepting) == (
+            want.n_states, want.transitions, want.initial, want.accepting)
+        sizes.add(got.n_states)
+    assert max(sizes) == 5119 and len(sizes) > 20
 
 
 def test_base_of_trivial_monoid():
