@@ -10,16 +10,17 @@ The subset and product constructions read a view of each operand on its
 own state numbers and build no spontaneous-move-free acceptor (that is
 :func:`eliminate_epsilon`, the view renumbered); they number each subset,
 an int, when first reached and step it on each symbol once.
-``difference`` and the comparisons (``includes``, ``equivalent``,
-``is_universal``, ``shortest_word``) are one breadth-first walk of
-(state, subset) pairs with a parent link per pair; the comparisons stop
-at their first counterexample. :func:`minimize` is Hopcroft's refinement
-of :func:`determinize`'s subset loop, which also builds the DFA of one
-operand minus another. Constructions that can blow up abort with
-:class:`StateCapExceededError` once they would allocate more states than
-the configured cap, naming the construction (``Fsa``, ``determinize``,
-``intersection``, ``difference`` for the walk and for the DFA of a
-difference, ``includes``, ``shortest_word``).
+``difference`` and the comparisons (``includes``, ``is_universal``,
+``shortest_word``) are one breadth-first walk of (state, subset) pairs
+with a parent link per pair, ``equivalent`` a Hopcroft-Karp walk of
+subset pairs; they stop at their first counterexample, and a subset that
+holds a universal position collapses to it. :func:`minimize` is
+Hopcroft's refinement of :func:`determinize`'s subset loop, which also
+builds the DFA of one operand minus another. Constructions that can blow
+up abort with :class:`StateCapExceededError` once they would allocate
+more states than the configured cap, naming the construction (``Fsa``,
+``determinize``, ``intersection``, ``difference`` for the walk and for
+the DFA of a difference, ``includes``, ``equivalent``, ``shortest_word``).
 
 ``concat`` and ``union`` build the binary left fold of any number of
 operands in one pass; :func:`regex_to_fsa` folds each group this way, so
@@ -297,18 +298,38 @@ class _Subsets:
     ``mask`` the bitmask of the accepting positions, and ``step(i, c)``
     the number ``i`` reaches on ``c``: its position's targets, or the OR
     of its positions' targets, bit by bit for up to four positions (or one
-    per four bytes of a wide view), else per byte."""
+    per four bytes of a wide view), else per byte. With ``collapse``, each
+    subset holding a universal position is the least one: all accept every word."""
 
-    __slots__ = ("mask", "start", "sets", "step")
+    __slots__ = ("mask", "universal", "start", "sets", "step")
 
-    def __init__(self, v: _View):
+    def __init__(self, v: _View, collapse: bool = False):
         rank = {p: r for r, p in enumerate(v.states)}
 
         def key(positions) -> int:
             ranks = [rank[p] for p in positions]
-            return ~ranks[0] if len(ranks) == 1 else sum(1 << r for r in ranks)
+            t = ~ranks[0] if len(ranks) == 1 else sum(1 << r for r in ranks)
+            return least if universal and _meets(t, universal) else t
 
         self.mask = sum(1 << rank[p] for p in v.accepting)
+        self.universal = universal = 0
+        if collapse:  # the greatest set of accepting positions with a target inside on every symbol
+            rows, k = list(v.rows.values()), len(v.rows)
+            left = [len(row[p]) for p in v.states for row in rows]  # targets per (position, symbol)
+            preds = [[] for _ in v.states]
+            for e, (p, row) in enumerate((p, row) for p in v.states for row in rows):
+                for q in row[p]:
+                    preds[rank[q]].append(e)
+            inside = [p in v.accepting and 0 not in left[r * k:r * k + k] for r, p in enumerate(v.states)]
+            out = [r for r, kept in enumerate(inside) if not kept]
+            for q in out:  # grows as it goes
+                for e in preds[q]:
+                    left[e] -= 1
+                    if not left[e] and inside[e // k]:
+                        inside[e // k] = False
+                        out.append(e // k)
+            self.universal = universal = sum(1 << r for r, kept in enumerate(inside) if kept)
+        least = ~((universal & -universal).bit_length() - 1)
         index = {0: 0}
         self.start = index.setdefault(key(v.initial), 1)
         self.sets = sets = list(index)  # the sink, then the initial subset unless empty
@@ -351,6 +372,7 @@ class _Subsets:
                                 t |= u
                     if t and not t & t - 1:  # one position
                         t = ~(t.bit_length() - 1)
+                t = least if universal and _meets(t, universal) else t
                 j = memo[i] = index.setdefault(t, len(sets))
                 if j == len(sets):
                     sets.append(t)
@@ -408,7 +430,7 @@ def _subset_walk(l: Fsa, r: Fsa, construction: str, moves: Optional[list] = None
     """The walk of ``l`` against the subsets of ``r``: each pair's parent
     link and whether its state accepts in ``l`` and its subset rejects."""
     _require_same_alphabet(l.alphabet, r.alphabet)
-    a, b = _View(l), _Subsets(_View(r))
+    a, b = _View(l), _Subsets(_View(r), collapse=True)
     for p, s, i, c in _product(a, b, construction, moves):
         yield i, c, p in a.accepting and not _meets(b.sets[s], b.mask)
 
@@ -642,7 +664,33 @@ def includes(l: Fsa, r: Fsa) -> bool:
 
 
 def equivalent(l: Fsa, r: Fsa) -> bool:
-    return includes(l, r) and includes(r, l)
+    """Hopcroft and Karp's breadth-first walk of (subset of ``l``, subset of
+    ``r``) pairs, skipping pairs already merged by union-find, to the first
+    pair where only one side accepts; the cap counts each side's subsets."""
+    _require_same_alphabet(l.alphabet, r.alphabet)
+    a, b = _Subsets(_View(l), collapse=True), _Subsets(_View(r), collapse=True)
+    parent: dict = {}  # l's subset i is node i, r's subset j node ~j; roots have no entry
+
+    def find(x: int) -> int:
+        while x in parent:  # halving the path as it goes
+            parent[x] = x = parent.get(parent[x], parent[x])
+        return x
+
+    def reach(i: int, j: int) -> bool:  # queues the pair; whether only one side accepts
+        pairs.append((i, j))
+        return _meets(a.sets[i], a.mask) != _meets(b.sets[j], b.mask)
+
+    pairs: list = []
+    if reach(a.start, b.start):
+        return False
+    for i, j in pairs:  # grows as it goes
+        x, y = find(i), find(~j)
+        if x != y:
+            parent[x] = y
+            if any(reach(a.step(i, c), b.step(j, c)) for c in l.alphabet.symbols):
+                return False
+            _check_cap(max(len(a.sets), len(b.sets)) - 1, "equivalent")
+    return True
 
 
 def shortest_word(f: Fsa, excluded: Optional[Fsa] = None) -> Optional[Word]:

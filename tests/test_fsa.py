@@ -456,6 +456,11 @@ _ORACLE_CHECKS = [
     ("completeness_witness", 1, lambda c: completeness_witness(RegularCode(c)),
      oracles.completeness_witness),
 ]
+# the walks that collapse a subset holding a universal position, or
+# Hopcroft-Karp's for equivalent, may decide where the reference's own
+# walk (one of _WALKS) hit the cap
+_COLLAPSED = ("includes", "equivalent", "shortest_word", "difference")
+_WALKS = ("includes", "difference", "shortest_word")
 
 
 def _match_oracles(f, g, caps, counts):
@@ -482,7 +487,8 @@ def _match_oracles(f, g, caps, counts):
                     continue
                 assert cap != old and want[0] == "cap", (name, cap, args)
                 assert got[0] == "cap" or got == uncapped[name], (name, cap, args)
-                if name == "completeness_witness":
+                if name == "completeness_witness" or (
+                        name in _COLLAPSED and want[1] in {f"{w} needs more than {cap} states" for w in _WALKS}):
                     counts["early"] += got[0] == "ok"
                 else:
                     assert want[1] == f"Fsa needs more than {cap} states"
@@ -549,6 +555,32 @@ def _all_subsets(v):
     return subsets.sets
 
 
+def _fixpoint_universal(v):
+    """The universal positions of a view by rounds to the greatest
+    fixpoint: the reference for the worklist pass of ``_Subsets``."""
+    inside = set(v.accepting)
+    while True:
+        kept = {p for p in inside if all(inside.intersection(row[p]) for row in v.rows.values())}
+        if kept == inside:
+            return sum(1 << r for r, p in enumerate(v.states) if p in inside)
+        inside = kept
+
+
+def test_universal_positions_are_the_greatest_fixpoint():
+    rng = random.Random(53)
+    found = 0
+    for alphabet in (AB, Alphabet("abc")):
+        for _ in range(150):
+            f = _random_enfa(rng, alphabet)
+            for g in (f, A.star(f), A.factor_closure(f), A.factor_closure(A.star(f))):
+                v = A._View(g)
+                universal = A._Subsets(v, collapse=True).universal
+                assert universal == _fixpoint_universal(v), g
+                assert A._Subsets(v).universal == 0
+                found += universal != 0
+    assert found > 100, found
+
+
 def test_double_complement_round_trip():
     rng = random.Random(5)
     sigma_star = A.full_language_fsa(AB)
@@ -560,7 +592,7 @@ def test_double_complement_round_trip():
 _SEEDED_PRODUCTS = """
 import json, random
 from conftest import random_fsa
-from partfact import Alphabet, RegularCode, RegularMonoid, base, completeness_witness
+from partfact import Alphabet, RegularCode, RegularMonoid, base, completeness_witness, is_complete
 from partfact import fsa as A
 rng = random.Random(17)
 ab = Alphabet("ab")
@@ -589,6 +621,12 @@ for n in range(1, 8):
         m = RegularMonoid.generated_by(RegularCode(A.regex_to_fsa(expr + "(a|b)" * n, ab)))
         h = base(m).lang
         out.append([h.n_states, h.transitions, list(h.initial), list(h.accepting)])
+# the Hopcroft-Karp walk and the collapsed completeness walks
+for n in range(1, 8):
+    langs = [A.regex_to_fsa(expr + "(a|b)" * n, ab) for expr in ("b*a", "(a|b)*a")]
+    for l in langs:
+        out.append([A.equivalent(l, r) for r in langs])
+        out.append([is_complete(RegularCode(l)), str(completeness_witness(RegularCode(l)))])
 print(json.dumps(out))
 """
 
@@ -602,6 +640,36 @@ def test_nested_star_comparison():
     start = time.perf_counter()
     assert A.equivalent(g, f)
     assert time.perf_counter() - start < 1.0
+
+
+def test_nested_star_equivalent_numbers_few_subsets(monkeypatch):
+    # one Hopcroft-Karp walk: each side numbers at most 2d + 4 subsets,
+    # where two inclusion walks took 2 x 20 102 pairs at d = 200
+    d = 200
+    f = rx("(" * d + "a" + ")*b" * d)
+    g = rx(A.fsa_to_regex(f))
+    built = []
+    subsets = A._Subsets
+
+    def counted(*args, **kwargs):
+        built.append(subsets(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(A, "_Subsets", counted)
+    assert A.equivalent(g, f) and A.equivalent(f, g)
+    assert not A.equivalent(f, rx("(" * d + "a" + ")*b" * d + "b"))  # "b" is in f only
+    assert len(built) == 6
+    assert all(len(s.sets) <= 2 * d + 4 for s in built[:4]), [len(s.sets) for s in built]
+
+
+def test_equivalent_matches_the_reference_on_the_blowup_families():
+    # one walk of subset pairs against two inclusion walks
+    for n in range(1, 11):
+        tail = "(a|b)" * n
+        langs = [rx(e) for e in (f"b*a{tail}", f"(a|b)*a{tail}", f"(b*a)+{tail}", f"(a|b)*a{tail}|(a|b)*b{tail}")]
+        for l in langs:
+            for r in langs:
+                assert A.equivalent(l, r) == oracles.equivalent(l, r), (n, l, r)
 
 
 def test_products_do_not_depend_on_string_hashing():
@@ -726,6 +794,8 @@ def test_state_cap():
         A.set_state_cap(20)
         with pytest.raises(StateCapExceededError, match="^includes needs more than 20 states$"):
             A.includes(q4e, q4e)  # a true inclusion walks every pair
+        with pytest.raises(StateCapExceededError, match="^equivalent needs more than 20 states$"):
+            A.equivalent(q4e, q4e)  # 32 subsets a side
         with pytest.raises(StateCapExceededError, match="^difference needs more than 20 states$"):
             A.difference(A.full_language_fsa(AB), q4e)
         with pytest.raises(StateCapExceededError, match="^intersection needs more than 20 states$"):

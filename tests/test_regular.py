@@ -180,6 +180,41 @@ def test_complete_examples():
     assert is_complete(code_words(UNARY, ["a"]))
 
 
+def test_completeness_and_density_decide_on_the_blowup_family():
+    # every subset of the factor closure of (b*a(a|b)^20)* or of
+    # (a|b)*a(a|b)^20 that holds a universal position is the least one,
+    # so the walk is constant where it used to hit the default cap
+    tail = "(a|b)" * 20
+    x = code_rx("b*a" + tail)
+    assert A.state_cap() == A.DEFAULT_STATE_CAP
+    assert is_complete(x)
+    assert completeness_witness(x) is None
+    assert is_full(RegularMonoid.generated_by(x))
+    assert is_dense(A.regex_to_fsa("(a|b)*a" + tail, AB))
+
+
+def test_completeness_without_a_universal_position():
+    # negative controls: no position of these factor-closure views is
+    # universal, so nothing collapses, and the verdicts are the oracle's.
+    # {a, ab, bb} is complete, but only a subset of several positions
+    # sees it; in the view of the prefix code {a, ba, bb}* every position
+    # is universal, while the view of {a, ba, bb} itself has none
+    x = code_words(AB, ["a", "ba", "bb"])
+    assert A._Subsets(A._View(A.factor_closure(A.star(x.lang))), collapse=True).universal != 0
+    for words in (["a", "ab", "bb"], ["aa", "ba"]):
+        x = code_words(AB, words)
+        closure = A.factor_closure(A.star(x.lang))
+        assert A._Subsets(A._View(closure), collapse=True).universal == 0
+        want = oracles.completeness_witness(x.lang)
+        assert completeness_witness(x) == want
+        assert is_complete(x) == (want is None)
+    for words in (["a", "ba"], ["a", "ba", "bb"]):
+        x = code_words(AB, words)
+        assert A._Subsets(A._View(A.factor_closure(x.lang)), collapse=True).universal == 0
+        want = oracles.shortest_word(oracles.difference(A.full_language_fsa(AB), A.factor_closure(x.lang)))
+        assert is_dense(x.lang) == (want is None) and want is not None
+
+
 def test_completeness_witness_examples():
     assert completeness_witness(code_words(AB, ["aa", "ba"])).text == "bb"
     assert completeness_witness(uniform(2)) is None
