@@ -13,9 +13,10 @@ reachability pass and stays as an exact cross-check.
 No step scans the whole code. An index over the sorted code texts finds
 the words a residual starts with (one probe per distinct word length)
 and the words that extend it (one bisect run), so the graph is built
-output-sensitively. The relation search walks the graph's useful arcs,
-pruned by each node's distance to the terminal, and
-:func:`p_factorize` probes each message position once per word length.
+output-sensitively. The relation search builds no graph: it reads the
+residuals nearest first from the source, within the message length
+bound, and walks them pruned by each residual's distance to the
+terminal. :func:`p_factorize` probes each position once per word length.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import defaultdict
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AlphabetMismatchError, InputError, PreconditionError
-from .fsa import _reachable, _useful
+from .fsa import _check_cap, _reachable, _useful
 from .words import Alphabet, Word, _Frozen
 
 
@@ -247,8 +248,8 @@ class _CodeIndex:
     """The sorted code texts, indexed so that a residual finds the words
     comparable with it without a scan over the whole code."""
 
-    def __init__(self, words: list[str]):
-        self.words = words
+    def __init__(self, code: FiniteCode):
+        self.words = words = sorted(w.text for w in code.words)
         self.text = {w: w for w in words}
         self.lengths = sorted({len(w) for w in words})
 
@@ -269,12 +270,19 @@ class _CodeIndex:
         prefixes = [self.text.get(u[:m]) for m in self.lengths if m <= len(u)]
         return [w for w in prefixes if w is not None] + self.extensions(u)
 
+    def starts(self) -> list[tuple[str, str, str]]:
+        """(x, y, r) for each word x with a proper extension y = x·r."""
+        return [(x, y, y[len(x):]) for x in self.words for y in self.extensions(x)]
+
+    def moves(self, u: str) -> list[tuple[str, str]]:
+        """(w, r) for each word w comparable with the residual u, in sorted
+        order: r is the rest of the longer of u and w past the shorter."""
+        return [(w, u[len(w):] if len(w) <= len(u) else w[len(u):]) for w in self.comparable(u)]
+
 
 class _SuffixGraph:
     def __init__(self, code: FiniteCode):
-        index = _CodeIndex(sorted({w.text for w in code.words}))
-        # (residual, (x, y)) with y = x·residual
-        init_arcs = [(y[len(x):], (x, y)) for x in index.words for y in index.extensions(x)]
+        index = _CodeIndex(code)
         node_ids: dict[str, int] = {}
         residual: list[str] = []  # node id -> residual; also the breadth-first queue
         arcs = []  # (src_id, dst_id, (word,)) with dst -1 when the residual empties
@@ -285,13 +293,13 @@ class _SuffixGraph:
                 residual.append(r)
             return node_ids[r]
 
-        for r, _pair in init_arcs:
+        starts = index.starts()
+        for _x, _y, r in starts:
             intern(r)
         uid = 0
         while uid < len(residual):
             u = residual[uid]
-            for w in index.comparable(u):
-                r = u[len(w):] if len(w) <= len(u) else w[len(u):]
+            for w, r in index.moves(u):
                 arcs.append((uid, intern(r) if r else -1, (w,)))
             uid += 1
 
@@ -299,39 +307,11 @@ class _SuffixGraph:
         self.term = n
         self.source = n + 1
         self.residual = residual
-        full_arcs = [(self.source, node_ids[r], pair) for r, pair in init_arcs]
+        full_arcs = [(self.source, node_ids[r], (x, y)) for x, y, r in starts]
         full_arcs += [(src, self.term if dst == -1 else dst, ann) for src, dst, ann in arcs]
 
         useful = _useful((self.source,), (self.term,), ((src, dst) for src, dst, _ann in full_arcs))
         self.arcs = [a for a in full_arcs if a[0] in useful and a[1] in useful]
-
-    def _arc_weight(self, src: int, dst: int, ann: tuple[str, ...]) -> int:
-        # Contribution of the arc to the message length: initial arcs start
-        # the message with the longer word; an arc where the trailing parse
-        # overtakes extends the message by the overhang.
-        if src == self.source:
-            return len(max(ann, key=len))
-        return max(0, len(ann[0]) - len(self.residual[src]))
-
-    def to_end(self) -> dict[int, int]:
-        """The fewest letters a relation still adds from each useful node
-        to the terminal: one backward Dijkstra over the useful arcs. The
-        value at the source is the shortest relation message length."""
-        into = defaultdict(list)
-        for src, dst, ann in self.arcs:
-            into[dst].append((src, self._arc_weight(src, dst, ann)))
-        dist = {self.term: 0}
-        heap = [(0, self.term)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for src, weight in into[node]:
-                nd = d + weight
-                if src not in dist or nd < dist[src]:
-                    dist[src] = nd
-                    heapq.heappush(heap, (nd, src))
-        return dist
 
     def cooccurring_text_pairs(self) -> set[tuple[str, str]]:
         # Two words co-occur when an arc of one leaves a node reachable
@@ -356,36 +336,89 @@ class _SuffixGraph:
         return pairs
 
 
-def _relation_texts(graph: _SuffixGraph, to_end: dict[int, int], max_message_len: int) -> list:
-    """(left parts, right parts, message) of every prime relation whose
-    message has at most max_message_len letters, given the graph's
-    :meth:`_SuffixGraph.to_end` distances.
+def _nearest_first(starts, arcs):
+    """Yield (distance, node) for each node reached from the (distance,
+    node) ``starts``, nearest first. ``arcs(node)`` lists the (weight, node)
+    pairs out of a node, read only when the consumer asks for the next one.
+    Dial's queue: a list per pending distance, a heap of the distances."""
+    dist: dict = {}
+    buckets: dict[int, list] = {}
+    pending: list[int] = []
 
-    Depth-first along the useful arcs from the source over the states
-    (node, behind, ahead, swapped, msg): ``behind`` is the trailing side,
-    which takes each arc's word, and ``swapped`` says that it is the right
-    side. A word shorter than the residual leaves the same side behind; a
-    longer one overtakes, and the message grows by the new residual. The
-    left side begins with the shorter first word, hence is the shortlex
-    smaller one. A state is dropped once the letters it must still add
-    take the message past the bound."""
-    out = defaultdict(list)
-    for src, dst, ann in graph.arcs:
-        out[src].append((dst, ann))
-    residual = graph.residual
+    def reach(d: int, node) -> None:
+        if d < dist.get(node, d + 1):
+            dist[node] = d
+            if d not in buckets:
+                heapq.heappush(pending, d)
+            buckets.setdefault(d, []).append(node)
+
+    for d, node in starts:
+        reach(d, node)
+    while pending:
+        d = heapq.heappop(pending)
+        for node in buckets[d]:  # arcs of weight 0 append to this same list
+            if dist[node] == d:  # else it was reached nearer and is done
+                yield d, node
+                for weight, nxt in arcs(node):
+                    reach(d + weight, nxt)
+        del buckets[d]
+
+
+def _relation_texts(x: FiniteCode, bound: Optional[int]) -> list:
+    """(left parts, right parts, message) of every prime relation whose
+    message has at most ``bound`` letters; with no bound, of every
+    shortest one: the paths from the source to the empty residual.
+
+    A forward pass reads a residual's moves only while the fewest letters
+    that reach it are within the bound, which the first residual reached
+    that is a code word sets if none is given. A backward pass over what
+    was read gives the fewest letters a relation still adds, exact wherever
+    the two sum to at most the bound, since that whole path was read. The
+    walk is depth-first over (residual, behind, ahead, swapped, msg):
+    ``behind`` takes each word, ``swapped`` says it is the right side, and
+    a longer word overtakes; the left side begins with the shorter first
+    word. With a bound, the states popped and the parts listed count
+    against the state cap: {a, ab, ba} has a relation of every odd length,
+    while the shortest relations are finitely many."""
+    capped = bound is not None
+    index = _CodeIndex(x)
+    starts = index.starts()
+    out: dict[str, list[tuple[str, str]]] = {}  # residual -> its moves, once read
+
+    def read(u: str) -> list[tuple[int, str]]:
+        out[u] = moves = index.moves(u)
+        return [(len(w) - len(u) if len(w) > len(u) else 0, r) for w, r in moves if r]
+
+    for d, u in _nearest_first([(len(y), r) for _x, y, r in starts], read):
+        if bound is None and u in index.text:
+            bound = d
+        if bound is not None and d > bound:
+            break
+    if bound is None:
+        return []
+    into = defaultdict(list)  # residual -> (letters added, residual) of its read in-arcs
+    for u, moves in out.items():
+        for w, r in moves:
+            into[r].append((len(w) - len(u) if len(w) > len(u) else 0, u))
+    to_end = {u: d for d, u in _nearest_first([(0, "")], into.__getitem__)}
+    far = bound + 1
     found = []
-    stack = [(dst, (x,), (y,), False, y) for dst, (x, y) in out[graph.source]
-             if len(y) + to_end[dst] <= max_message_len]
+    stack = [(r, (x,), (y,), False, y) for x, y, r in starts if len(y) + to_end.get(r, far) <= bound]
+    count = 0
     while stack:
-        node, behind, ahead, swapped, msg = stack.pop()
-        for dst, (w,) in out[node]:
-            if dst == graph.term:
+        u, behind, ahead, swapped, msg = stack.pop()
+        count += 1
+        for w, r in out[u]:
+            if not r:
                 found.append((ahead, behind + (w,), msg) if swapped else (behind + (w,), ahead, msg))
-            elif len(w) < len(residual[node]):
-                if len(msg) + to_end[dst] <= max_message_len:
-                    stack.append((dst, behind + (w,), ahead, swapped, msg))
-            elif len(msg) + len(residual[dst]) + to_end[dst] <= max_message_len:
-                stack.append((dst, ahead, behind + (w,), not swapped, msg + residual[dst]))
+                count += len(behind) + len(ahead) + 1
+            elif len(w) < len(u):
+                if len(msg) + to_end.get(r, far) <= bound:
+                    stack.append((r, behind + (w,), ahead, swapped, msg))
+            elif len(msg) + len(r) + to_end.get(r, far) <= bound:
+                stack.append((r, ahead, behind + (w,), not swapped, msg + r))
+        if capped:
+            _check_cap(count, "enumerate_prime_relations")
     return found
 
 
@@ -411,15 +444,12 @@ def _prime_relations(x: FiniteCode, found) -> list[PrimeRelation]:
 def sp_is_ud(x: FiniteCode) -> tuple[bool, Optional[PrimeRelation]]:
     """Sardinas-Patterson decision with a witness for the negative case.
 
-    The witness is the prime relation with the shortest message,
-    shortlex and then factorization order breaking ties.
+    The witness is the least prime relation by message (shortlex), then
+    by factorizations; residuals beyond its length are never read.
     """
     _require_nonempty(x)
-    graph = _SuffixGraph(x)
-    to_end = graph.to_end()
-    if graph.source not in to_end:  # no source-to-terminal path
-        return True, None
-    return False, _prime_relations(x, _relation_texts(graph, to_end, to_end[graph.source]))[0]
+    found = _relation_texts(x, None)
+    return (False, _prime_relations(x, found)[0]) if found else (True, None)
 
 
 def enumerate_prime_relations(x: FiniteCode, max_message_len: int) -> list[PrimeRelation]:
@@ -427,13 +457,13 @@ def enumerate_prime_relations(x: FiniteCode, max_message_len: int) -> list[Prime
 
     Each relation appears once, its smaller factorization (shortlex on
     the part sequence) on the left; the list is sorted by message, then
-    by the two part sequences.
+    by the two part sequences. Some codes have a relation of every length,
+    so the states walked and the parts listed count against the state cap.
     """
     _require_nonempty(x)
     if max_message_len < 1:
         raise PreconditionError("the message length bound must be at least 1")
-    graph = _SuffixGraph(x)
-    return _prime_relations(x, _relation_texts(graph, graph.to_end(), max_message_len))
+    return _prime_relations(x, _relation_texts(x, max_message_len))
 
 
 def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:

@@ -2,12 +2,16 @@
 for finite codes, a bounded word enumerator for acceptors, reference
 automaton constructions (spontaneous-move elimination to an acceptor,
 subset construction and product walks over it, Moore's minimization),
-the base of a regular monoid by two differences, and an audit bound for
-the co-occurrence analysis.
+the base of a regular monoid by two differences, the prime-relation
+search over the whole dangling-suffix graph, and an audit bound for the
+co-occurrence analysis.
 
 The brute-force oracle and relation search share no code with the
 exact analyses in ``partfact.finite_code``, so the tests can use them as
-independent ground truth.
+independent ground truth. The whole-graph search builds the library's
+dangling-suffix graph and every node's distance to the terminal before
+it lists a relation: the reference for the library's search, which
+reads only the residuals within the length bound.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Optional, Sequence
 
 from partfact import FiniteCode, PreconditionError, RegularMonoid, Word
 from partfact import fsa as A
-from partfact.finite_code import _SuffixGraph
+from partfact.finite_code import PrimeRelation, _prime_relations, _SuffixGraph
 from partfact.fsa import (
     Fsa,
     _check_cap,
@@ -230,6 +234,83 @@ def base(m: RegularMonoid) -> Fsa:
     return A.minimize(A.difference(A.determinize(nonempty), A.concat(nonempty, nonempty)))
 
 
+def _arc_weight(graph: _SuffixGraph, src: int, ann: tuple[str, ...]) -> int:
+    # Contribution of the arc to the message length: initial arcs start
+    # the message with the longer word; an arc where the trailing parse
+    # overtakes extends the message by the overhang.
+    if src == graph.source:
+        return len(max(ann, key=len))
+    return max(0, len(ann[0]) - len(graph.residual[src]))
+
+
+def _to_end(graph: _SuffixGraph) -> dict[int, int]:
+    """The fewest letters a relation still adds from each useful node to
+    the terminal: one backward Dijkstra over the useful arcs. The value at
+    the source is the shortest relation message length."""
+    into = defaultdict(list)
+    for src, dst, ann in graph.arcs:
+        into[dst].append((src, _arc_weight(graph, src, ann)))
+    dist = {graph.term: 0}
+    heap = [(0, graph.term)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for src, weight in into[node]:
+            nd = d + weight
+            if src not in dist or nd < dist[src]:
+                dist[src] = nd
+                heapq.heappush(heap, (nd, src))
+    return dist
+
+
+def _graph_relation_texts(graph: _SuffixGraph, to_end: dict[int, int], max_message_len: int) -> list:
+    """(left parts, right parts, message) of every prime relation whose
+    message has at most max_message_len letters: depth-first along the
+    useful arcs from the source over the states (node, behind, ahead,
+    swapped, msg), where ``behind`` is the trailing side, which takes each
+    arc's word, and ``swapped`` says that it is the right side. A state is
+    dropped once the letters it must still add take the message past the
+    bound."""
+    out = defaultdict(list)
+    for src, dst, ann in graph.arcs:
+        out[src].append((dst, ann))
+    residual = graph.residual
+    found = []
+    stack = [(dst, (x,), (y,), False, y) for dst, (x, y) in out[graph.source]
+             if len(y) + to_end[dst] <= max_message_len]
+    while stack:
+        node, behind, ahead, swapped, msg = stack.pop()
+        for dst, (w,) in out[node]:
+            if dst == graph.term:
+                found.append((ahead, behind + (w,), msg) if swapped else (behind + (w,), ahead, msg))
+            elif len(w) < len(residual[node]):
+                if len(msg) + to_end[dst] <= max_message_len:
+                    stack.append((dst, behind + (w,), ahead, swapped, msg))
+            elif len(msg) + len(residual[dst]) + to_end[dst] <= max_message_len:
+                stack.append((dst, ahead, behind + (w,), not swapped, msg + residual[dst]))
+    return found
+
+
+def graph_sp_is_ud(x: FiniteCode) -> tuple[bool, Optional[PrimeRelation]]:
+    """``sp_is_ud`` by the search over the whole dangling-suffix graph:
+    the graph, its useful arcs and every node's distance to the terminal
+    are built first, and the relations are listed within the source's
+    distance, the shortest relation length."""
+    graph = _SuffixGraph(x)
+    to_end = _to_end(graph)
+    if graph.source not in to_end:  # no source-to-terminal path
+        return True, None
+    return False, _prime_relations(x, _graph_relation_texts(graph, to_end, to_end[graph.source]))[0]
+
+
+def graph_prime_relations(x: FiniteCode, max_message_len: int) -> list[PrimeRelation]:
+    """``enumerate_prime_relations`` by the search over the whole
+    dangling-suffix graph, with no cap on the walk."""
+    graph = _SuffixGraph(x)
+    return _prime_relations(x, _graph_relation_texts(graph, _to_end(graph), max_message_len))
+
+
 def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]:
     """Length of the shortest prime-relation message containing both
     words, or None when the pair never co-occurs. Audit helper for the
@@ -255,7 +336,7 @@ def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]
                 return d
             continue
         for dst, ann, bits in out[node]:
-            nd = d + graph._arc_weight(node, dst, ann)
+            nd = d + _arc_weight(graph, node, ann)
             nm = mask | bits
             if nd < dist.get((dst, nm), float("inf")):
                 dist[(dst, nm)] = nd

@@ -121,6 +121,14 @@ def test_prime_relations(tmp_path):
     ]
 
 
+def test_unbounded_prime_relations_exit_3(tmp_path):
+    # a(ba)^k = (ab)^k·a for every k: the relation list has no end
+    doc = {"alphabet": ["a", "b"], "kind": "finite", "code": ["a", "ab", "ba"]}
+    code, out, err = run_cli(["prime-relations", "--max-len", "100000000"], files=[doc], tmp_path=tmp_path)
+    assert code == 3 and out == "", err
+    assert ": enumerate_prime_relations needs more than " in err and "Traceback" not in err, err
+
+
 def test_check_partition_example3(tmp_path):
     report = run_json(["check-partition"], EXAMPLE3_DOC, tmp_path)
     assert report["verdict"] is True

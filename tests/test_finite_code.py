@@ -1,10 +1,19 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import random_coding_partition, random_finite_code
-from oracles import brute_force_oracle, brute_force_relations, cooccurrence_witness_bound
+from oracles import (
+    brute_force_oracle,
+    brute_force_relations,
+    cooccurrence_witness_bound,
+    graph_prime_relations,
+    graph_sp_is_ud,
+)
+from partfact import fsa as A
+from partfact import finite_code as F
 from partfact import (
     Alphabet,
     Factorization,
@@ -13,6 +22,7 @@ from partfact import (
     Partition,
     PreconditionError,
     PrimeRelation,
+    StateCapExceededError,
     canonical_coding_partition,
     canonical_partition,
     characteristic_partition,
@@ -26,6 +36,7 @@ from partfact import (
 
 AB = Alphabet("ab")
 ZO = Alphabet("01")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 EXAMPLE1 = FiniteCode(ZO, ["00", "0010", "1000", "11", "1111", "010", "011"])
 # three letters past U+00FF, declared out of code-point order
@@ -213,9 +224,9 @@ def _dense_code(rng: random.Random, n: int) -> tuple[list[str], tuple[str, str]]
 
 
 def test_dense_code_scaling():
-    # every residual lookup is indexed: at 1600 words the two graph builds,
-    # the relation search and the partition take a fraction of a second;
-    # a scan of every word per residual takes about twice the budget
+    # every residual lookup is indexed: at 1600 words the relation search,
+    # which reads a few residuals, and the graph build behind the partition
+    # take a fraction of a second
     texts_, (x, y) = _dense_code(random.Random(1600), 1600)
     code = FiniteCode(ZO, texts_)
     start = time.perf_counter()
@@ -226,6 +237,76 @@ def test_dense_code_scaling():
     owners = {fine.class_index_of(ZO.word(t)) for t in (x, y, x + y)}
     assert len(owners) == 1
     assert elapsed < 2.5
+
+
+def test_relation_search_matches_the_whole_graph_search(monkeypatch):
+    # the search reads only the residuals within the length bound; the
+    # reference builds the whole dangling-suffix graph first
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    rng = random.Random(1953)
+    alphabets = [AB, Alphabet("ba"), ZO, WIDE]
+    codes = []
+    for i in range(600):
+        alphabet = alphabets[i % len(alphabets)]
+        size = rng.randint(1, 9)
+        codes.append(FiniteCode(alphabet, {"".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 6)))
+                                           for _ in range(size)}))
+    for n in (50, 100, 200):
+        codes.append(FiniteCode(ZO, workloads._dense_code(random.Random(n), n)[0]))
+        letters, words, _ta, _squares = workloads._structured_code(random.Random(n), n)
+        codes.append(FiniteCode(Alphabet("".join(letters)), words))
+    not_ud = related = 0
+    for code in codes:
+        ud, witness = sp_is_ud(code)
+        assert (ud, witness) == graph_sp_is_ud(code), code
+        not_ud += not ud
+        for bound in (1, 4, 7, 10):
+            rels = enumerate_prime_relations(code, bound)
+            assert rels == graph_prime_relations(code, bound), (code, bound)
+            related += bool(rels)
+    assert not_ud >= 280 and related >= 700
+
+
+def test_relation_search_reads_only_within_the_bound(monkeypatch):
+    # the graph reads all 3826 residuals; the searches read 6 and 97
+    reads = []
+    comparable = F._CodeIndex.comparable
+
+    def counted(index, u):
+        reads.append(u)
+        return comparable(index, u)
+
+    monkeypatch.setattr(F._CodeIndex, "comparable", counted)
+    code = FiniteCode(ZO, _dense_code(random.Random(1600), 1600)[0])
+    whole = len(F._SuffixGraph(code).residual)
+    assert len(reads) == whole > 3000
+    reads.clear()
+    assert not sp_is_ud(code)[0]
+    assert len(reads) <= 50
+    reads.clear()
+    assert enumerate_prime_relations(code, 8)
+    assert len(reads) <= 500
+
+
+def test_enumeration_hits_the_state_cap():
+    # a(ba)^k = (ab)^k·a is a prime relation for every k, so the list has
+    # no end; the states popped and the parts listed count against the cap
+    code = FiniteCode(AB, ["a", "ab", "ba"])
+    old = A.state_cap()
+    try:
+        A.set_state_cap(200)
+        with pytest.raises(StateCapExceededError, match="^enumerate_prime_relations needs more than 200 states$"):
+            enumerate_prime_relations(code, 10 ** 8)
+        with pytest.raises(StateCapExceededError):  # 60 states popped, but 990 parts
+            enumerate_prime_relations(code, 61)
+        assert [len(r.message) for r in enumerate_prime_relations(code, 11)] == [3, 5, 7, 9, 11]
+        # the shortest relations are not capped: this witness has 1001 parts
+        ud, witness = sp_is_ud(FiniteCode(AB, ["a", "a" * 1000]))
+        assert not ud and len(witness.left.parts) == 1000
+    finally:
+        A.set_state_cap(old)
 
 
 # ---------------------------------------------------------------------------
