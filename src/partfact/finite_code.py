@@ -13,10 +13,12 @@ reachability pass and stays as an exact cross-check.
 No step scans the whole code. An index over the sorted code texts finds
 the words a residual starts with (one probe per distinct word length)
 and the words that extend it (one bisect run), so the graph is built
-output-sensitively. The relation search builds no graph: it reads the
-residuals nearest first from the source, within the message length
-bound, and walks them pruned by each residual's distance to the
-terminal. :func:`p_factorize` probes each position once per word length.
+output-sensitively; it and the partitions name words by their places in
+shortlex order, so no word is hashed. The relation search builds no
+graph: it reads the residuals nearest first from the source, within the
+message length bound, and walks each residual's moves ranked by the
+letters they add, up to the bound. :func:`p_factorize` probes each
+position once per word length.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import defaultdict
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AlphabetMismatchError, InputError, PreconditionError
-from .fsa import _check_cap, _reachable, _useful
+from .fsa import _check_cap, _reachable
 from .words import Alphabet, Word, _Frozen
 
 
@@ -50,7 +52,7 @@ class FiniteCode(_Frozen):
         object.__setattr__(self, "words", frozenset(ws))
 
     def sorted_words(self) -> list[Word]:
-        return sorted(self.words)
+        return sorted(self.words, key=Word.sort_key)
 
     def texts(self) -> list[str]:
         return [w.text for w in self.sorted_words()]
@@ -176,7 +178,8 @@ class Partition(_Frozen):
 
     def normalized_classes(self) -> tuple[tuple[Word, ...], ...]:
         """Classes as sorted tuples, ordered by shortlex-least element."""
-        return tuple(sorted((tuple(sorted(c)) for c in self.classes), key=lambda c: c[0].sort_key()))
+        return tuple(sorted((tuple(sorted(c, key=Word.sort_key)) for c in self.classes),
+                            key=lambda c: c[0].sort_key()))
 
     def class_index_of(self, w: Word) -> int:
         for i, c in enumerate(self.classes):
@@ -198,7 +201,7 @@ class Partition(_Frozen):
         return hash((self.code, frozenset(self.classes)))
 
     def __repr__(self) -> str:
-        body = "; ".join("{" + ",".join(w.text for w in sorted(c)) + "}" for c in self.classes)
+        body = "; ".join("{" + ",".join(w.text for w in sorted(c, key=Word.sort_key)) + "}" for c in self.classes)
         return f"Partition({body})"
 
 
@@ -239,9 +242,9 @@ class PFactorization(_Frozen):
 # a prime relation is exactly a path from the virtual source (one arc per
 # ordered pair of distinct code words, one a proper prefix of the other)
 # to the terminal node where the residual becomes empty. Arcs are
-# annotated with the code words they consume, so co-occurrence of two
-# words in some prime relation reduces to a waypoint query: is there a
-# source-to-terminal path using an arc of each annotation?
+# annotated with the code words they consume, by their places in shortlex
+# order, so co-occurrence of two words in some prime relation reduces to a
+# waypoint query: is there a source-to-terminal path using an arc of each?
 
 
 class _CodeIndex:
@@ -283,9 +286,12 @@ class _CodeIndex:
 class _SuffixGraph:
     def __init__(self, code: FiniteCode):
         index = _CodeIndex(code)
+        self.words = code.sorted_words()
+        number = {w.text: i for i, w in enumerate(self.words)}
         node_ids: dict[str, int] = {}
         residual: list[str] = []  # node id -> residual; also the breadth-first queue
         arcs = []  # (src_id, dst_id, (word,)) with dst -1 when the residual empties
+        into = defaultdict(list)  # dst_id -> the src_ids of its arcs
 
         def intern(r: str) -> int:
             if r not in node_ids:
@@ -296,43 +302,38 @@ class _SuffixGraph:
         starts = index.starts()
         for _x, _y, r in starts:
             intern(r)
-        uid = 0
-        while uid < len(residual):
-            u = residual[uid]
+        for uid, u in enumerate(residual):  # runs on to the nodes interned meanwhile
             for w, r in index.moves(u):
-                arcs.append((uid, intern(r) if r else -1, (w,)))
-            uid += 1
+                dst = intern(r) if r else -1
+                arcs.append((uid, dst, (number[w],)))
+                into[dst].append(uid)
 
-        n = len(residual)
-        self.term = n
-        self.source = n + 1
+        self.term = term = len(residual)
+        self.source = source = term + 1
         self.residual = residual
-        full_arcs = [(self.source, node_ids[r], (x, y)) for x, y, r in starts]
-        full_arcs += [(src, self.term if dst == -1 else dst, ann) for src, dst, ann in arcs]
+        # every node is interned from the source: the useful ones reach the terminal
+        useful = _reachable(into[-1], into)
+        self.arcs = [(source, node_ids[r], (number[x], number[y])) for x, y, r in starts if node_ids[r] in useful]
+        self.arcs += [(src, dst if dst >= 0 else term, ann) for src, dst, ann in arcs if dst < 0 or dst in useful]
 
-        useful = _useful((self.source,), (self.term,), ((src, dst) for src, dst, _ann in full_arcs))
-        self.arcs = [a for a in full_arcs if a[0] in useful and a[1] in useful]
-
-    def cooccurring_text_pairs(self) -> set[tuple[str, str]]:
-        # Two words co-occur when an arc of one leaves a node reachable
-        # (reflexively) from the head of an arc of the other, or when they
-        # share a source arc.
-        fwd = defaultdict(list)
-        heads = defaultdict(list)  # word -> heads of the arcs consuming it
-        leaving = defaultdict(set)  # node -> words consumed by its out-arcs
-        pairs: set[tuple[str, str]] = set()
+    def cooccurring_pairs(self) -> set[tuple[int, int]]:
+        # The pairs (i, j), i < j, of co-occurring word numbers. Two words
+        # co-occur when an arc of one leaves a node reachable (reflexively)
+        # from the head of an arc of the other, or when they share a source arc.
+        fwd: list[list[int]] = [[] for _ in range(self.source + 1)]
+        heads: list[list[int]] = [[] for _ in self.words]  # word -> heads of the arcs consuming it
+        leaving: list[set[int]] = [set() for _ in range(self.source + 1)]  # node -> words of its out-arcs
+        pairs: set[tuple[int, int]] = set()
         for src, dst, ann in self.arcs:
             fwd[src].append(dst)
             leaving[src].update(ann)
-            for w in ann:
-                heads[w].append(dst)
+            for i in ann:
+                heads[i].append(dst)
             if len(ann) == 2:
                 pairs.add(tuple(sorted(ann)))
-        for u, dsts in heads.items():
-            for node in _reachable(dsts, fwd):
-                for v in leaving[node]:
-                    if v != u:
-                        pairs.add((u, v) if u < v else (v, u))
+        for i, dsts in enumerate(heads):
+            met = set().union(*(leaving[node] for node in _reachable(dsts, fwd)))
+            pairs.update((i, j) if i < j else (j, i) for j in met if j != i)
         return pairs
 
 
@@ -375,11 +376,12 @@ def _relation_texts(x: FiniteCode, bound: Optional[int]) -> list:
     was read gives the fewest letters a relation still adds, exact wherever
     the two sum to at most the bound, since that whole path was read. The
     walk is depth-first over (residual, behind, ahead, swapped, msg):
-    ``behind`` takes each word, ``swapped`` says it is the right side, and
-    a longer word overtakes; the left side begins with the shorter first
-    word. With a bound, the states popped and the parts listed count
-    against the state cap: {a, ab, ba} has a relation of every odd length,
-    while the shortest relations are finitely many."""
+    ``behind`` takes each word, ``swapped`` says it is the right side, a
+    longer word overtakes, and each side is a (word, rest) link; the left
+    side begins with the shorter first word. Moves ranked by the letters
+    they add are read up to the bound. With a bound, the states popped and
+    the parts listed count against the state cap: {a, ab, ba} has a
+    relation of every odd length, while the shortest are finitely many."""
     capped = bound is not None
     index = _CodeIndex(x)
     starts = index.starts()
@@ -402,24 +404,40 @@ def _relation_texts(x: FiniteCode, bound: Optional[int]) -> list:
             into[r].append((len(w) - len(u) if len(w) > len(u) else 0, u))
     to_end = {u: d for d, u in _nearest_first([(0, "")], into.__getitem__)}
     far = bound + 1
+    # each read residual's moves by the letters they still add: none into the
+    # end, the rest past a trailing word, and the overhang too past an overtaking one
+    ranked = {u: sorted((to_end.get(r, far) + (len(r) if len(w) > len(u) else 0) if r else 0, w, r)
+                        for w, r in moves) for u, moves in out.items()}
+
     found = []
-    stack = [(r, (x,), (y,), False, y) for x, y, r in starts if len(y) + to_end.get(r, far) <= bound]
+    stack = [(r, (x, None), (y, None), False, y) for x, y, r in starts if len(y) + to_end.get(r, far) <= bound]
     count = 0
     while stack:
         u, behind, ahead, swapped, msg = stack.pop()
         count += 1
-        for w, r in out[u]:
+        for added, w, r in ranked[u]:
+            if added > bound - len(msg):
+                break
             if not r:
-                found.append((ahead, behind + (w,), msg) if swapped else (behind + (w,), ahead, msg))
-                count += len(behind) + len(ahead) + 1
+                trailing, leading = _spell((w, behind)), _spell(ahead)
+                found.append((leading, trailing, msg) if swapped else (trailing, leading, msg))
+                count += len(trailing) + len(leading)
             elif len(w) < len(u):
-                if len(msg) + to_end.get(r, far) <= bound:
-                    stack.append((r, behind + (w,), ahead, swapped, msg))
-            elif len(msg) + len(r) + to_end.get(r, far) <= bound:
-                stack.append((r, ahead, behind + (w,), not swapped, msg + r))
+                stack.append((r, (w, behind), ahead, swapped, msg))
+            else:
+                stack.append((r, ahead, (w, behind), not swapped, msg + r))
         if capped:
             _check_cap(count, "enumerate_prime_relations")
     return found
+
+
+def _spell(link) -> tuple[str, ...]:
+    """The parts of a (word, rest) link, first to last."""
+    parts = []
+    while link:
+        w, link = link
+        parts.append(w)
+    return tuple(reversed(parts))
 
 
 def _prime_relations(x: FiniteCode, found) -> list[PrimeRelation]:
@@ -470,21 +488,22 @@ def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:
     """Pairs of distinct code words appearing together in some prime
     relation; exact, with no bound on the relation length."""
     _require_nonempty(x)
-    word = {w.text: w for w in x.words}
-    return {tuple(sorted((word[u], word[v]))) for u, v in _SuffixGraph(x).cooccurring_text_pairs()}
+    graph = _SuffixGraph(x)
+    return {(graph.words[i], graph.words[j]) for i, j in graph.cooccurring_pairs()}
 
 
-def _components(x: FiniteCode, links) -> Partition:
-    """The partition of x into words joined through ``links``, a symmetric
-    adjacency over the words and helper vertices; classes in the order of
-    their least word."""
+def _components(x: FiniteCode, words: list[Word], links: list[list[int]]) -> Partition:
+    """The partition of x into ``words``, its words in shortlex order, joined
+    through ``links``, a symmetric adjacency over their numbers and helper
+    vertices after them; classes in the order of their least word."""
+    n = len(words)
     classes: list[frozenset[Word]] = []
-    seen: set = set()
-    for w in x.sorted_words():
-        if w not in seen:
-            reached = _reachable((w,), links)
-            seen |= reached
-            classes.append(x.words & reached)
+    seen: set[int] = set()
+    for i in range(n):
+        if i not in seen:
+            reached = _reachable((i,), links) if links[i] else (i,)
+            seen.update(reached)
+            classes.append(frozenset(words[j] for j in reached if j < n))
     return Partition(x, classes)
 
 
@@ -496,15 +515,15 @@ def characteristic_partition(x: FiniteCode) -> Partition:
     the classes are the components of :func:`cooccurrence_pairs`."""
     _require_nonempty(x)
     graph = _SuffixGraph(x)
-    code_word = {w.text: w for w in x.words}
-    links = defaultdict(list)
+    n = len(graph.words)
+    links: list[list[int]] = [[] for _ in range(n + graph.term)]  # node u is vertex n + u
     for src, dst, ann in graph.arcs:
         for node in (src, dst):
-            if node != graph.source and node != graph.term:
-                for t in ann:
-                    links[code_word[t]].append(node)
-                    links[node].append(code_word[t])
-    return _components(x, links)
+            if node < graph.term:  # not the terminal, nor the source after it
+                for i in ann:
+                    links[i].append(n + node)
+                    links[n + node].append(i)
+    return _components(x, graph.words, links)
 
 
 def canonical_partition(x: FiniteCode) -> tuple[frozenset[Word], list[frozenset[Word]]]:
@@ -535,15 +554,15 @@ def is_coding(x: FiniteCode, p: Partition) -> bool:
     return _coarsens(p, characteristic_partition(x).classes)
 
 
-def _owners(p: Partition) -> dict[Word, int]:
-    """The index of the class of p holding each word."""
-    return {w: i for i, c in enumerate(p.classes) for w in c}
+def _owners(p: Partition) -> dict[str, int]:
+    """The index of the class of p holding each word, by its text."""
+    return {w.text: i for i, c in enumerate(p.classes) for w in c}
 
 
 def _coarsens(p: Partition, classes: Iterable[frozenset[Word]]) -> bool:
     """Whether each of the classes lies inside a single class of p."""
     owner = _owners(p)
-    return all(len({owner[w] for w in c}) == 1 for c in classes)
+    return all(len({owner[w.text] for w in c}) == 1 for c in classes)
 
 
 def is_totally_ambiguous(x: FiniteCode) -> bool:
@@ -563,7 +582,7 @@ def p_factorize(w: Word, p: Partition) -> PFactorization:
         raise PreconditionError("the partition is not a coding partition")
     text = w.text
     n = len(text)
-    owner = {v.text: k for k, c in enumerate(p.classes) for v in c}
+    owner = _owners(p)
     lengths = sorted({len(t) for t in owner})
     # back[j] = (i, k): text[i:j] is a word of class k and text[:i] is a
     # message. A coding partition gives a message one block factorization,

@@ -11,8 +11,6 @@ partition once and checks both operands against it.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from .errors import PreconditionError
 from .finite_code import FiniteCode, Partition, _coarsens, _components, _owners, characteristic_partition
 
@@ -45,13 +43,14 @@ def coding_meet(p1: Partition, p2: Partition) -> Partition:
     """Greatest lower bound: the finest common coarsening, i.e. the words
     joined through the classes of either operand."""
     _fine_classes(p1, p2)
-    links = defaultdict(list)
-    for k, p in enumerate((p1, p2)):
-        for i, c in enumerate(p.classes):
-            for w in c:
-                links[w].append((k, i))
-                links[(k, i)].append(w)
-    return _components(p1.code, links)
+    words = p1.code.sorted_words()
+    number = {w.text: i for i, w in enumerate(words)}
+    # one vertex after the words for each class of either operand
+    links = [[] for _ in words] + [[number[w.text] for w in c] for c in p1.classes + p2.classes]
+    for vertex in range(len(words), len(links)):
+        for i in links[vertex]:
+            links[i].append(vertex)
+    return _components(p1.code, words, links)
 
 
 def coding_join(p1: Partition, p2: Partition) -> Partition:
@@ -63,7 +62,7 @@ def coding_join(p1: Partition, p2: Partition) -> Partition:
     groups = {}  # the atoms come in the order of their least word, so do the groups
     for atom in atoms:
         probe = next(iter(atom))  # atoms never straddle coding classes
-        key = (o1[probe], o2[probe])
+        key = (o1[probe.text], o2[probe.text])
         groups.setdefault(key, set()).update(atom)
     return Partition(p1.code, groups.values())
 

@@ -3,15 +3,19 @@ for finite codes, a bounded word enumerator for acceptors, reference
 automaton constructions (spontaneous-move elimination to an acceptor,
 subset construction and product walks over it, Moore's minimization),
 the base of a regular monoid by two differences, the prime-relation
-search over the whole dangling-suffix graph, and an audit bound for the
-co-occurrence analysis.
+search over the whole dangling-suffix graph, the finest coding partition,
+the lattice operations and co-occurrence over Word objects, and an audit
+bound for the co-occurrence analysis.
 
 The brute-force oracle and relation search share no code with the
 exact analyses in ``partfact.finite_code``, so the tests can use them as
 independent ground truth. The whole-graph search builds the library's
 dangling-suffix graph and every node's distance to the terminal before
 it lists a relation: the reference for the library's search, which
-reads only the residuals within the length bound.
+reads only the residuals within the length bound. The Word-keyed
+partitions build the whole graph too, find its useful arcs by
+reachability from both ends, and link Word objects: the reference for
+the library, which numbers the words once and links the numbers.
 """
 
 from __future__ import annotations
@@ -21,14 +25,15 @@ from collections import defaultdict, deque
 from itertools import product
 from typing import Optional, Sequence
 
-from partfact import FiniteCode, PreconditionError, RegularMonoid, Word
+from partfact import FiniteCode, Partition, PreconditionError, RegularMonoid, Word
 from partfact import fsa as A
-from partfact.finite_code import PrimeRelation, _prime_relations, _SuffixGraph
+from partfact.finite_code import PrimeRelation, _CodeIndex, _prime_relations, _SuffixGraph
 from partfact.fsa import (
     Fsa,
     _check_cap,
     _reachable,
     _require_same_alphabet,
+    _useful,
     empty_fsa,
     factor_closure,
     full_language_fsa,
@@ -234,13 +239,13 @@ def base(m: RegularMonoid) -> Fsa:
     return A.minimize(A.difference(A.determinize(nonempty), A.concat(nonempty, nonempty)))
 
 
-def _arc_weight(graph: _SuffixGraph, src: int, ann: tuple[str, ...]) -> int:
+def _arc_weight(graph: _SuffixGraph, src: int, ann: tuple[int, ...]) -> int:
     # Contribution of the arc to the message length: initial arcs start
     # the message with the longer word; an arc where the trailing parse
     # overtakes extends the message by the overhang.
     if src == graph.source:
-        return len(max(ann, key=len))
-    return max(0, len(ann[0]) - len(graph.residual[src]))
+        return max(len(graph.words[i]) for i in ann)
+    return max(0, len(graph.words[ann[0]]) - len(graph.residual[src]))
 
 
 def _to_end(graph: _SuffixGraph) -> dict[int, int]:
@@ -274,7 +279,7 @@ def _graph_relation_texts(graph: _SuffixGraph, to_end: dict[int, int], max_messa
     bound."""
     out = defaultdict(list)
     for src, dst, ann in graph.arcs:
-        out[src].append((dst, ann))
+        out[src].append((dst, tuple(graph.words[i].text for i in ann)))
     residual = graph.residual
     found = []
     stack = [(dst, (x,), (y,), False, y) for dst, (x, y) in out[graph.source]
@@ -319,7 +324,7 @@ def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]
         raise PreconditionError("analysis of the empty code is undefined")
     # Dijkstra over (node, set of the two words consumed so far)
     graph = _SuffixGraph(x)
-    targets = (u.text, v.text)
+    targets = (graph.words.index(u), graph.words.index(v))
     full = (1 << len(targets)) - 1
     out = defaultdict(list)
     for src, dst, ann in graph.arcs:
@@ -342,6 +347,105 @@ def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]
                 dist[(dst, nm)] = nd
                 heapq.heappush(heap, (nd, dst, nm))
     return None
+
+
+def _useful_text_arcs(x: FiniteCode) -> list:
+    """The useful arcs (src, dst, texts consumed) of the whole
+    dangling-suffix graph, with the source "start" and the terminal "end":
+    every arc is built, then the nodes reachable from the source that reach
+    the terminal are kept."""
+    index = _CodeIndex(x)
+    node_ids: dict[str, int] = {}
+    residual: list[str] = []
+
+    def intern(r: str) -> int:
+        if r not in node_ids:
+            node_ids[r] = len(residual)
+            residual.append(r)
+        return node_ids[r]
+
+    arcs = [("start", intern(r), (short, y)) for short, y, r in index.starts()]
+    uid = 0
+    while uid < len(residual):
+        for w, r in index.moves(residual[uid]):
+            arcs.append((uid, intern(r) if r else "end", (w,)))
+        uid += 1
+    useful = _useful(("start",), ("end",), ((src, dst) for src, dst, _ann in arcs))
+    return [a for a in arcs if a[0] in useful and a[1] in useful]
+
+
+def _components(x: FiniteCode, links) -> Partition:
+    """The words of x joined through ``links``, a symmetric adjacency over
+    the Word objects and helper vertices; classes in the order of their
+    least word."""
+    classes: list[frozenset[Word]] = []
+    seen: set = set()
+    for w in sorted(x.words):
+        if w not in seen:
+            reached = _reachable((w,), links)
+            seen |= reached
+            classes.append(x.words & reached)
+    return Partition(x, classes)
+
+
+def characteristic_partition(x: FiniteCode) -> Partition:
+    """The finest coding partition: the words joined through the internal
+    nodes of their useful arcs, over the whole graph."""
+    if not x.words:
+        raise PreconditionError("analysis of the empty code is undefined")
+    code_word = {w.text: w for w in x.words}
+    links = defaultdict(list)
+    for src, dst, ann in _useful_text_arcs(x):
+        for node in (src, dst):
+            if node not in ("start", "end"):
+                for t in ann:
+                    links[code_word[t]].append(node)
+                    links[node].append(code_word[t])
+    return _components(x, links)
+
+
+def coding_meet(p1: Partition, p2: Partition) -> Partition:
+    """The words joined through the classes of either partition."""
+    links = defaultdict(list)
+    for k, p in enumerate((p1, p2)):
+        for i, c in enumerate(p.classes):
+            for w in c:
+                links[w].append((k, i))
+                links[(k, i)].append(w)
+    return _components(p1.code, links)
+
+
+def coding_join(p1: Partition, p2: Partition) -> Partition:
+    """The classes of the finest coding partition grouped by the classes of
+    p1 and p2 that hold them."""
+    o1, o2 = ({w: i for i, c in enumerate(p.classes) for w in c} for p in (p1, p2))
+    groups: dict = {}
+    for atom in characteristic_partition(p1.code).classes:
+        probe = next(iter(atom))
+        groups.setdefault((o1[probe], o2[probe]), set()).update(atom)
+    return Partition(p1.code, groups.values())
+
+
+def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:
+    """Pairs of words on useful arcs of the whole graph where an arc of one
+    leaves a node reachable (reflexively) from the head of an arc of the
+    other, or that share a source arc."""
+    fwd = defaultdict(list)
+    heads = defaultdict(list)
+    leaving = defaultdict(set)
+    pairs = set()
+    for src, dst, ann in _useful_text_arcs(x):
+        fwd[src].append(dst)
+        leaving[src].update(ann)
+        for t in ann:
+            heads[t].append(dst)
+        if len(ann) == 2:
+            pairs.add(ann)
+    for u, dsts in heads.items():
+        for node in _reachable(dsts, fwd):
+            pairs.update((u, v) for v in leaving[node] if v != u)
+    word = {w.text: w for w in x.words}
+    return {tuple(sorted((word[u], word[v]))) for u, v in pairs}
 
 
 def brute_force_oracle(x: FiniteCode, max_message_len: int) -> tuple[bool, set[tuple[Word, Word]]]:

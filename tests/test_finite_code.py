@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import random_coding_partition, random_finite_code
 from oracles import (
     brute_force_oracle,
@@ -14,6 +15,7 @@ from oracles import (
 )
 from partfact import fsa as A
 from partfact import finite_code as F
+from partfact import lattice as L
 from partfact import (
     Alphabet,
     Factorization,
@@ -476,6 +478,34 @@ def test_characteristic_classes_are_cooccurrence_components():
         assert list(fine.classes) == expected, code
         merged += any(len(c) > 1 for c in fine.classes)
     assert merged >= 100
+
+
+def test_numbered_analyses_match_the_word_keyed_oracles(monkeypatch):
+    # the library numbers the words once and keeps only the arcs that reach
+    # the terminal; the oracles build the whole graph and link Word objects
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    rng = random.Random(2011)
+    codes = [random_finite_code(rng, max_words=rng.choice((6, 9)), max_len=rng.choice((4, 6)))
+             for _ in range(600)]
+    for n in (50, 100, 200):
+        codes.append(FiniteCode(ZO, workloads._dense_code(random.Random(n), n)[0]))
+        letters, words, _ta, _squares = workloads._structured_code(random.Random(n), n)
+        codes.append(FiniteCode(Alphabet("".join(letters)), words))
+    merged = 0
+    for code in codes:
+        fine = oracles.characteristic_partition(code)
+        assert characteristic_partition(code).classes == fine.classes, code
+        unambiguous = frozenset(w for c in fine.classes if len(c) == 1 for w in c)
+        canonical = ([unambiguous] if unambiguous else []) + [c for c in fine.classes if len(c) > 1]
+        assert canonical_coding_partition(code).classes == tuple(canonical), code
+        p, q = random_coding_partition(rng, code), random_coding_partition(rng, code)
+        assert L.coding_meet(p, q).classes == oracles.coding_meet(p, q).classes, (p, q)
+        assert L.coding_join(p, q).classes == oracles.coding_join(p, q).classes, (p, q)
+        assert cooccurrence_pairs(code) == oracles.cooccurrence_pairs(code), code
+        merged += len(fine) < len(code)
+    assert merged >= 200
 
 
 def test_characteristic_merges_witnessed_by_relations():
