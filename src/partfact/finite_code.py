@@ -275,7 +275,12 @@ class _CodeIndex:
 
     def starts(self) -> list[tuple[str, str, str]]:
         """(x, y, r) for each word x with a proper extension y = x·r."""
-        return [(x, y, y[len(x):]) for x in self.words for y in self.extensions(x)]
+        words, out = self.words, []
+        for i, x in enumerate(words, 1):
+            while i < len(words) and words[i].startswith(x):
+                out.append((x, words[i], words[i][len(x):]))
+                i += 1
+        return out
 
     def moves(self, u: str) -> list[tuple[str, str]]:
         """(w, r) for each word w comparable with the residual u, in sorted

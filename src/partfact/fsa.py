@@ -20,7 +20,8 @@ builds the DFA of one operand minus another. Constructions that can blow
 up abort with :class:`StateCapExceededError` once they would allocate
 more states than the configured cap, naming the construction (``Fsa``,
 ``determinize``, ``intersection``, ``difference`` for the walk and for
-the DFA of a difference, ``includes``, ``equivalent``, ``shortest_word``).
+the DFA of a difference, ``includes``, ``equivalent``, ``shortest_word``,
+and ``factorizations`` for the pair walk of ``regular``).
 
 ``concat`` and ``union`` build the binary left fold of any number of
 operands in one pass; :func:`regex_to_fsa` folds each group this way, so

@@ -1,16 +1,16 @@
 """Decidable analyses on regular codes and regular submonoids.
 
-The workhorse is the block parser: each partition class is compiled to a
-deterministic acceptor of its nonempty products, and spontaneous moves
-stitch an accepting configuration of one class to the start of every
-other class. Accepting runs of the parser are then in bijection with
-block factorizations of the message, so "is this partition coding" and
-"is this code uniquely decipherable" reduce to run-uniqueness of one
-acceptor.
+Unique decipherability and coding partitions are decided on the code's
+own acceptor, with no determinization: two runs of the flower automaton
+read a message side by side, each starting a new word from an accepting
+position; it is ambiguous iff they can part at a word boundary (or, for
+a partition, in the class of a letter's word) and both end a word. The
+walk is quadratic in the positions and finds the shortlex-least message.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Optional, Sequence, Union
 
 from . import fsa as A
@@ -188,34 +188,52 @@ def _extension(x: RegularCode, v: Word) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# Block parsers: unique decipherability and coding partitions
+# Unique decipherability and coding partitions
 
 
-def _block_parser(classes: Sequence[Fsa]) -> Fsa:
-    """Parser whose accepting runs are the block factorizations for the
-    partition into the given classes: one deterministic acceptor per class
-    language X_i+, with spontaneous moves from accepting configurations of
-    class i into the start of every class j != i.
+def _two_factorizations(classes: Sequence[Fsa], by_word: bool) -> Optional[Word]:
+    """The shortlex-least message with two factorizations into words of
+    the classes that differ in a word boundary (``by_word``), or else in
+    the class of some letter's word, hence in their blocks; None if none.
 
-    Class acceptors are determinized first so that different splittings
-    of one block into class words do not create spurious runs.
-    """
-    # state 0 is the hub, then each class in turn
-    trans: list = []
-    inits: list[int] = []
-    accs: list[list[int]] = []
-    shift = 1
-    for d in (A.minimize(A.plus(c)) for c in classes):
-        trans += [(p + shift, a, q + shift) for p, a, q in d.transitions]
-        inits.append(next(iter(d.initial)) + shift)
-        accs.append([f + shift for f in d.accepting])
-        shift += d.n_states
-    for i, fs in enumerate(accs):
-        trans.append((0, None, inits[i]))
-        for j, q in enumerate(inits):
-            if i != j:
-                trans.extend((f, None, q) for f in fs)
-    return Fsa(classes[0].alphabet, shift, trans, (0,), [f for fs in accs for f in fs])
+    A breadth-first walk of triples (p, q, diverged), a position of the
+    classes' union per side: each side reads the next letter inside its
+    word or, from an accepting position, starts a new word. The triples
+    one word first reaches are expanded together, a symbol at a time, as
+    in ``fsa._product``, so they are reached in shortlex order."""
+    v = A._View(A.union(*classes))
+    start = v.states[-1] + 1  # a position that reads only first letters
+    width = start + 1
+    owner = [i for i, c in enumerate(classes) for _ in range(c.n_states)]
+    accepting = [p in v.accepting for p in range(width)]
+    moves = {}  # symbol -> position -> [(target, tag)]: the sides diverge where their tags differ
+    for c, row in v.rows.items():
+        first = [(q, 1 if by_word else owner[q]) for q in sorted({q for i in v.initial for q in row[i]})]
+        moves[c] = out = [()] * start + [first]
+        for p in v.states:
+            if row[p] or accepting[p]:
+                out[p] = [(q, 0 if by_word else owner[q]) for q in row[p]] + (first if accepting[p] else [])
+    links = {2 * (start * width + start): (None, "")}  # (p * width + q) * 2 + diverged, p >= q
+    queue = deque([list(links)])
+    while queue:
+        group = queue.popleft()
+        for c, row in moves.items():  # declared order gives shortlex
+            fresh = []
+            for src in group:
+                p, q = divmod(src // 2, width)
+                for p2, s in row[p]:
+                    for q2, t in row[q]:
+                        diverged = src & 1 or s != t
+                        key = 2 * (p2 * width + q2 if p2 >= q2 else q2 * width + p2) + diverged
+                        if key not in links:
+                            A._check_cap(len(links) + 1, "factorizations")
+                            links[key] = (src, c)
+                            if diverged and accepting[p2] and accepting[q2]:
+                                return Word(classes[0].alphabet, A._spell(links, key))
+                            fresh.append(key)
+            if fresh:
+                queue.append(fresh)
+    return None
 
 
 def regular_is_ud(x: RegularCode) -> bool:
@@ -224,24 +242,20 @@ def regular_is_ud(x: RegularCode) -> bool:
 
 
 def ud_ambiguity_witness(x: RegularCode) -> Optional[Word]:
-    """A message with two distinct factorizations into code words, found
-    as a word with two runs of the parser that reads one code word at a
-    time through the minimal acceptor of X and marks each boundary with a
-    spontaneous move back to its start; None when X is UD."""
-    return A.ambiguity_witness(A.plus(A.minimize(x.lang)))
+    """The shortlex-least message with two distinct factorizations into
+    code words; None when X is UD."""
+    return _two_factorizations((x.lang,), by_word=True)
 
 
 def regular_is_coding(p: RegularPartition) -> bool:
-    """Decide whether the partition is coding: accepting runs of the
-    block parser are in bijection with block factorizations, so the
-    partition is coding iff the parser is run-unambiguous."""
+    """Whether no message has two distinct block factorizations."""
     return coding_ambiguity_witness(p) is None
 
 
 def coding_ambiguity_witness(p: RegularPartition) -> Optional[Word]:
-    """A message with two distinct block factorizations; None when the
-    partition is coding."""
-    return A.ambiguity_witness(_block_parser(p.classes))
+    """The shortlex-least message with two distinct block factorizations;
+    None when the partition is coding."""
+    return _two_factorizations(p.classes, by_word=False)
 
 
 def free_product_check(monoids: Sequence[RegularMonoid]) -> bool:
@@ -259,7 +273,7 @@ def free_product_check(monoids: Sequence[RegularMonoid]) -> bool:
         for j in range(i + 1, len(bases)):
             if not A.is_empty(A.intersection(bases[i].lang, bases[j].lang)):
                 return False
-    return A.is_unambiguous(_block_parser([b.lang for b in bases]))
+    return _two_factorizations([b.lang for b in bases], by_word=False) is None
 
 
 # ---------------------------------------------------------------------------

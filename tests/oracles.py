@@ -4,8 +4,11 @@ automaton constructions (spontaneous-move elimination to an acceptor,
 subset construction and product walks over it, Moore's minimization),
 the base of a regular monoid by two differences, the prime-relation
 search over the whole dangling-suffix graph, the finest coding partition,
-the lattice operations and co-occurrence over Word objects, and an audit
-bound for the co-occurrence analysis.
+the lattice operations and co-occurrence over Word objects, an audit
+bound for the co-occurrence analysis, the run-counting parsers for
+unique decipherability and coding partitions of regular codes, and a
+brute-force search for the least message with two (block)
+factorizations.
 
 The brute-force oracle and relation search share no code with the
 exact analyses in ``partfact.finite_code``, so the tests can use them as
@@ -237,6 +240,71 @@ def base(m: RegularMonoid) -> Fsa:
     builds one subset construction of N and N·N side by side."""
     nonempty = A.difference(m.lang, A.epsilon_fsa(m.alphabet))
     return A.minimize(A.difference(A.determinize(nonempty), A.concat(nonempty, nonempty)))
+
+
+def _block_parser(classes: Sequence[Fsa]) -> Fsa:
+    """Parser whose accepting runs are the block factorizations for the
+    partition into the given classes: one minimal DFA per class language
+    X_i+, with spontaneous moves from accepting configurations of class i
+    into the start of every class j != i. Class acceptors are
+    determinized, so different splittings of one block into class words
+    make no spurious runs: the run-counting reference for
+    ``partfact.regular.coding_ambiguity_witness``."""
+    # state 0 is the hub, then each class in turn
+    trans: list = []
+    inits: list[int] = []
+    accs: list[list[int]] = []
+    shift = 1
+    for d in (A.minimize(A.plus(c)) for c in classes):
+        trans += [(p + shift, a, q + shift) for p, a, q in d.transitions]
+        inits.append(next(iter(d.initial)) + shift)
+        accs.append([f + shift for f in d.accepting])
+        shift += d.n_states
+    for i, fs in enumerate(accs):
+        trans.append((0, None, inits[i]))
+        for j, q in enumerate(inits):
+            if i != j:
+                trans.extend((f, None, q) for f in fs)
+    return Fsa(classes[0].alphabet, shift, trans, (0,), [f for fs in accs for f in fs])
+
+
+def ud_run_witness(x: Fsa) -> Optional[Word]:
+    """A word with two runs of the parser that reads one code word at a
+    time through the minimal acceptor of the code ``x`` and marks each
+    boundary with a spontaneous move back to its start: the run-counting
+    reference for ``partfact.regular.ud_ambiguity_witness``."""
+    return A.ambiguity_witness(A.plus(A.minimize(x)))
+
+
+def coding_run_witness(classes: Sequence[Fsa]) -> Optional[Word]:
+    """A word with two runs of the block parser of the classes."""
+    return A.ambiguity_witness(_block_parser(classes))
+
+
+def least_two_factorizations(classes: Sequence[Sequence[str]], max_len: int, by_word: bool) -> Optional[str]:
+    """By brute force over every message of at most ``max_len`` letters,
+    the shortlex-least one with two factorizations into words of the
+    classes (given as texts) that differ in their words (``by_word``) or
+    in their block factorizations, read as the class of each letter's
+    word; None when there is none that short. Texts compare by code
+    point, which is shortlex only where the alphabet is declared in that
+    order."""
+    levels: list[dict[str, set]] = [{"": {()}}]  # per length: message -> up to two distinct signatures
+    for n in range(1, max_len + 1):
+        level: dict[str, set] = {}
+        for i, words in enumerate(classes):
+            for w in words:
+                tail = (w,) if by_word else (i,) * len(w)
+                for m, found in levels[n - len(w)].items() if len(w) <= n else ():
+                    mine = level.setdefault(m + w, set())
+                    for sig in found:
+                        if len(mine) < 2:
+                            mine.add(sig + tail)
+        ambiguous = [m for m, found in level.items() if len(found) >= 2]
+        if ambiguous:
+            return min(ambiguous)
+        levels.append(level)
+    return None
 
 
 def _arc_weight(graph: _SuffixGraph, src: int, ann: tuple[int, ...]) -> int:

@@ -97,6 +97,9 @@ def test_ud_regex_kind(tmp_path):
     report = run_json(["ud"], doc, tmp_path)
     assert report["verdict"] is False
     assert report["ambiguous_message"] == "aba"
+    doc = dict(doc, regex="(a|b)*a" + "(a|b)" * 20)  # its subset construction passes the state cap
+    code, out, _ = run_cli(["ud", "--quiet"], files=[doc], tmp_path=tmp_path)
+    assert code == 1 and out == ""
 
 
 def test_check_partition_emits_witness_when_not_coding(tmp_path):
@@ -445,13 +448,14 @@ def test_each_command_asks_each_question_once(monkeypatch):
 
     for name in ("minimize", "_find_ambiguous_word", "_subset_walk"):
         count(A, name)
+    count(R, "_two_factorizations")
     monkeypatch.setattr(cli, "base", count(R, "base"))
 
     ab = {"alphabet": ["a", "b"], "kind": "regex"}
     not_coding = dict(EXAMPLE3_DOC, partition={"X0": "a|ad*b", "X1": "bb|c|bc*bb"})
     for command, doc, expected in [
-        ("ud", dict(ab, regex="a|ab|ba"), {"minimize": 1, "_find_ambiguous_word": 1}),
-        ("check-partition", not_coding, {"minimize": 2, "_find_ambiguous_word": 1}),
+        ("ud", dict(ab, regex="a|ab|ba"), {"minimize": 0, "_find_ambiguous_word": 0, "_two_factorizations": 1}),
+        ("check-partition", not_coding, {"minimize": 0, "_find_ambiguous_word": 0, "_two_factorizations": 1}),
         ("witness", dict(ab, regex="aa|ba"), {"_subset_walk": 1}),
         # base walks once, for its nonempty part; its second difference is
         # a subset construction and equivalent a walk of subset pairs, not

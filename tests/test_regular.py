@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from partfact import (
     RegularCode,
     RegularMonoid,
     RegularPartition,
+    StateCapExceededError,
     base,
     canonical_free_factorization,
     canonical_partition,
@@ -331,8 +333,8 @@ def test_regular_is_coding_examples():
 
 def test_example1_block_parser_is_unambiguous_by_run_counting():
     from conftest import has_ambiguous_word
+    from oracles import _block_parser
     from partfact import canonical_coding_partition
-    from partfact.regular import _block_parser
 
     parser = _block_parser(RegularPartition.from_finite(canonical_coding_partition(EXAMPLE1)).classes)
     assert A.is_unambiguous(parser)
@@ -350,6 +352,68 @@ def test_regular_is_coding_matches_finite_is_coding():
         p = Partition(fc, classes)
         expected = is_coding(fc, p)
         assert regular_is_coding(RegularPartition.from_finite(p)) == expected, fc
+
+
+def _texts(f, max_len):
+    return [w.text for w in oracles.enumerate_words(f, max_len)]
+
+
+def _check_pair_walk(partition, ud, coding):
+    # the verdicts of the run-counting oracles, and the least witnesses by
+    # brute force over every message up to the witness's length
+    code = partition.code
+    assert (oracles.ud_run_witness(code.lang) is None) == ud
+    assert (oracles.coding_run_witness(partition.classes) is None) == coding
+    for by_word, classes, witness, verdict in (
+        (True, (code.lang,), ud_ambiguity_witness(code), ud),
+        (False, partition.classes, coding_ambiguity_witness(partition), coding),
+    ):
+        assert (witness is None) == verdict, (code, by_word)
+        if witness is not None:
+            n = len(witness)
+            texts = [_texts(c, n) for c in classes]
+            assert oracles.least_two_factorizations(texts, n, by_word) == witness.text, (texts, by_word)
+
+
+def test_pair_walk_matches_the_oracles_with_least_witnesses():
+    rng = random.Random(5772)
+    for _ in range(300):  # finite codes and two-class partitions, as tries and as regexes
+        fc = random_finite_code(rng, max_words=5, max_len=3)
+        words = fc.sorted_words()
+        rng.shuffle(words)
+        cut = rng.randint(1, len(words))
+        groups = [g for g in (words[:cut], words[cut:]) if g]
+        ud, coding = sp_is_ud(fc)[0], is_coding(fc, Partition(fc, map(frozenset, groups)))
+        trie = RegularPartition(RegularCode.from_words(fc), [A.word_set_fsa(fc.alphabet, g) for g in groups])
+        _check_pair_walk(trie, ud, coding)
+        as_regex = [A.regex_to_fsa("|".join(w.text for w in g), fc.alphabet) for g in groups]
+        _check_pair_walk(RegularPartition(code_rx("|".join(w.text for w in words), fc.alphabet), as_regex), ud, coding)
+    starred = 0
+    while starred < 100:  # infinite codes, split by first letter
+        try:
+            code = code_rx(dialect_text(random_regex(rng, 3), rng), AB)
+        except PreconditionError:
+            continue
+        by_first = [A.intersection(code.lang, A.regex_to_fsa(c + "(a|b)*", AB)) for c in "ab"]
+        p = RegularPartition(code, [c for c in by_first if not A.is_empty(c)])
+        _check_pair_walk(p, oracles.ud_run_witness(code.lang) is None, oracles.coding_run_witness(p.classes) is None)
+        starred += 1
+
+
+def test_pair_walk_grows_polynomially_past_the_subset_blowup():
+    # (a|b)*a(a|b)^20 has 2^21 subsets, beyond the state cap
+    q = code_rx("(a|b)*a" + "(a|b)" * 20, AB)
+    started = time.perf_counter()
+    assert ud_ambiguity_witness(q) == AB.word("a" * 42)
+    assert time.perf_counter() - started < 0.5
+    assert regular_is_ud(code_rx("b*a" + "(a|b)" * 20, AB))
+    old = A.state_cap()
+    try:
+        A.set_state_cap(100)  # the walk counts its pairs, under its own name
+        with pytest.raises(StateCapExceededError, match="factorizations"):
+            ud_ambiguity_witness(q)
+    finally:
+        A.set_state_cap(old)
 
 
 # ---------------------------------------------------------------------------
