@@ -485,11 +485,11 @@ def eliminate_epsilon(f: Fsa) -> Fsa:
     return Fsa(f.alphabet, len(number), trans, map(number.get, v.initial), map(number.get, v.accepting))
 
 
-def _subset_dfa(l: Fsa, r: Optional[Fsa] = None) -> tuple:
+def _subset_dfa(l: Fsa, r: Optional[Fsa] = None, limit: Optional[int] = None) -> Optional[tuple]:
     """The :class:`Fsa` arguments of the subset construction of ``l``, or
-    of ``l`` beside ``r`` for ``l`` minus ``r``, breadth first, no sink: a
-    subset accepts when it holds an accepting position of ``l`` and none
-    of ``r``; one with no position of ``l`` is dead."""
+    of ``l`` beside ``r`` for ``l`` minus ``r``, breadth first, no sink, or
+    None past ``limit`` states: a subset accepts when it holds an accepting
+    position of ``l`` and none of ``r``; one with no position of ``l`` is dead."""
     v = _View(l if r is None else union(l, r))
     subsets = _Subsets(v)
     own = (1 << bisect_left(v.states, l.n_states)) - 1  # the positions of l
@@ -503,6 +503,8 @@ def _subset_dfa(l: Fsa, r: Optional[Fsa] = None) -> tuple:
             j = step(i, c)
             if j:
                 trans.append((i - 1, c, j - 1))
+        if limit is not None and len(sets) - 1 > limit:
+            return None
         _check_cap(len(sets) - 1, construction)
         i += 1
     accepting = [i - 1 for i, s in enumerate(sets) if _meets(s, keep) and not _meets(s, drop)]

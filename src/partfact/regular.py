@@ -1,11 +1,9 @@
 """Decidable analyses on regular codes and regular submonoids.
 
-Unique decipherability and coding partitions are decided on the code's
-own acceptor, with no determinization: two runs of the flower automaton
-read a message side by side, each starting a new word from an accepting
-position; it is ambiguous iff they can part at a word boundary (or, for
-a partition, in the class of a letter's word) and both end a word. The
-walk is quadratic in the positions and finds the shortlex-least message.
+Unique decipherability and coding partitions are decided by two runs of
+the flower automaton side by side, each starting a new word from an
+accepting position: a message is ambiguous iff they part at a word
+boundary (or in the class of a letter's word) and both end a word.
 """
 
 from __future__ import annotations
@@ -196,11 +194,14 @@ def _two_factorizations(classes: Sequence[Fsa], by_word: bool) -> Optional[Word]
     the classes that differ in a word boundary (``by_word``), or else in
     the class of some letter's word, hence in their blocks; None if none.
 
-    A breadth-first walk of triples (p, q, diverged), a position of the
-    classes' union per side: each side reads the next letter inside its
-    word or, from an accepting position, starts a new word. The triples
-    one word first reaches are expanded together, a symbol at a time, as
-    in ``fsa._product``, so they are reached in shortlex order."""
+    A breadth-first walk of triples (p, q, diverged), a position per side:
+    each side reads the next letter inside its word or, from an accepting
+    position, starts a new word; the triples one word first reaches are
+    expanded together, as in ``fsa._product``, so in shortlex order. Each
+    class is read on its subset construction unless that has more states
+    than the class, so a many-word alternation keeps one state a side."""
+    dfas = [A._subset_dfa(c, limit=min(c.n_states, A.state_cap())) for c in classes]
+    classes = [c if d is None else Fsa(*d) for c, d in zip(classes, dfas)]
     v = A._View(A.union(*classes))
     start = v.states[-1] + 1  # a position that reads only first letters
     width = start + 1
@@ -261,7 +262,8 @@ def coding_ambiguity_witness(p: RegularPartition) -> Optional[Word]:
 def free_product_check(monoids: Sequence[RegularMonoid]) -> bool:
     """True iff the monoid generated by the union is the free product of
     the given monoids: bases must be pairwise disjoint and the base
-    partition of the union must be coding."""
+    partition of the union must be coding. A word in two bases is a
+    message with two block factorizations, so one walk checks both."""
     if len(monoids) < 2:
         raise PreconditionError("a free product needs at least two factors")
     alphabet = monoids[0].alphabet
@@ -269,10 +271,6 @@ def free_product_check(monoids: Sequence[RegularMonoid]) -> bool:
         if m.alphabet != alphabet:
             raise AlphabetMismatchError("monoids use different alphabets")
     bases = [base(m) for m in monoids]  # raises on a trivial factor
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            if not A.is_empty(A.intersection(bases[i].lang, bases[j].lang)):
-                return False
     return _two_factorizations([b.lang for b in bases], by_word=False) is None
 
 

@@ -281,14 +281,15 @@ def coding_run_witness(classes: Sequence[Fsa]) -> Optional[Word]:
     return A.ambiguity_witness(_block_parser(classes))
 
 
-def least_two_factorizations(classes: Sequence[Sequence[str]], max_len: int, by_word: bool) -> Optional[str]:
+def least_two_factorizations(
+    classes: Sequence[Sequence[str]], max_len: int, by_word: bool, symbols: Sequence[str]
+) -> Optional[str]:
     """By brute force over every message of at most ``max_len`` letters,
-    the shortlex-least one with two factorizations into words of the
-    classes (given as texts) that differ in their words (``by_word``) or
-    in their block factorizations, read as the class of each letter's
-    word; None when there is none that short. Texts compare by code
-    point, which is shortlex only where the alphabet is declared in that
-    order."""
+    the least one, in shortlex order on the declared ``symbols``, with two
+    factorizations into words of the classes (given as texts) that differ
+    in their words (``by_word``) or in their block factorizations, read as
+    the class of each letter's word; None when there is none that short."""
+    rank = {c: i for i, c in enumerate(symbols)}
     levels: list[dict[str, set]] = [{"": {()}}]  # per length: message -> up to two distinct signatures
     for n in range(1, max_len + 1):
         level: dict[str, set] = {}
@@ -302,7 +303,7 @@ def least_two_factorizations(classes: Sequence[Sequence[str]], max_len: int, by_
                             mine.add(sig + tail)
         ambiguous = [m for m, found in level.items() if len(found) >= 2]
         if ambiguous:
-            return min(ambiguous)
+            return min(ambiguous, key=lambda m: [rank[c] for c in m])
         levels.append(level)
     return None
 

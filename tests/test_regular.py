@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -41,6 +42,7 @@ from partfact import (
 from partfact import fsa as A
 
 AB = Alphabet("ab")
+BA = Alphabet("ba")
 ZO = Alphabet("01")
 ABCD = Alphabet("abcd")
 UNARY = Alphabet("a")
@@ -372,13 +374,20 @@ def _check_pair_walk(partition, ud, coding):
         if witness is not None:
             n = len(witness)
             texts = [_texts(c, n) for c in classes]
-            assert oracles.least_two_factorizations(texts, n, by_word) == witness.text, (texts, by_word)
+            least = oracles.least_two_factorizations(texts, n, by_word, code.alphabet.symbols)
+            assert least == witness.text, (texts, by_word)
 
 
-def test_pair_walk_matches_the_oracles_with_least_witnesses():
+@pytest.mark.parametrize("on_positions", [False, True])
+def test_pair_walk_matches_the_oracles_with_least_witnesses(monkeypatch, on_positions):
+    if on_positions:  # every class read on its own positions, as where its subset construction is too big
+        subset_dfa = A._subset_dfa
+        monkeypatch.setattr(A, "_subset_dfa", lambda l, r=None, limit=None: None if limit else subset_dfa(l, r))
     rng = random.Random(5772)
-    for _ in range(300):  # finite codes and two-class partitions, as tries and as regexes
+    for i in range(300):  # finite codes and two-class partitions, as tries and as regexes
         fc = random_finite_code(rng, max_words=5, max_len=3)
+        if i % 2:  # an alphabet declared out of code-point order
+            fc = FiniteCode(Alphabet(reversed(fc.alphabet.symbols)), [w.text for w in fc.words])
         words = fc.sorted_words()
         rng.shuffle(words)
         cut = rng.randint(1, len(words))
@@ -390,11 +399,12 @@ def test_pair_walk_matches_the_oracles_with_least_witnesses():
         _check_pair_walk(RegularPartition(code_rx("|".join(w.text for w in words), fc.alphabet), as_regex), ud, coding)
     starred = 0
     while starred < 100:  # infinite codes, split by first letter
+        alphabet = (AB, BA)[starred % 2]
         try:
-            code = code_rx(dialect_text(random_regex(rng, 3), rng), AB)
+            code = code_rx(dialect_text(random_regex(rng, 3), rng), alphabet)
         except PreconditionError:
             continue
-        by_first = [A.intersection(code.lang, A.regex_to_fsa(c + "(a|b)*", AB)) for c in "ab"]
+        by_first = [A.intersection(code.lang, A.regex_to_fsa(c + "(a|b)*", alphabet)) for c in "ab"]
         p = RegularPartition(code, [c for c in by_first if not A.is_empty(c)])
         _check_pair_walk(p, oracles.ud_run_witness(code.lang) is None, oracles.coding_run_witness(p.classes) is None)
         starred += 1
@@ -414,6 +424,17 @@ def test_pair_walk_grows_polynomially_past_the_subset_blowup():
             ud_ambiguity_witness(q)
     finally:
         A.set_state_cap(old)
+
+
+def test_pair_walk_reads_many_word_alternations_deterministically():
+    # each of the 512 branches of {a,b}^9 given as one alternation is a
+    # position of its own: on those positions the walk passes the state cap
+    words = ["".join(t) for t in itertools.product("ab", repeat=9)]
+    x = code_rx("|".join(words))
+    assert regular_is_ud(x)
+    by_first = [A.regex_to_fsa("|".join(w for w in words if w[0] == c), AB) for c in "ab"]
+    assert regular_is_coding(RegularPartition(x, by_first))
+    assert ud_ambiguity_witness(code_rx("|".join(words + ["a" * 18]))) == AB.word("a" * 18)
 
 
 # ---------------------------------------------------------------------------
