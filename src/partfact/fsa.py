@@ -642,6 +642,11 @@ def plus(f: Fsa) -> Fsa:
     return Fsa(f.alphabet, f.n_states, trans, f.initial, f.accepting)
 
 
+def reverse(f: Fsa) -> Fsa:
+    """Acceptor for the mirror images of the accepted words."""
+    return Fsa(f.alphabet, f.n_states, ((q, a, p) for p, a, q in f.transitions), f.accepting, f.initial)
+
+
 def factor_closure(f: Fsa) -> Fsa:
     """Acceptor for every factor of every accepted word."""
     g = trim(f)

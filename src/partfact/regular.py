@@ -12,7 +12,7 @@ from collections import deque
 from typing import Iterable, Optional, Sequence, Union
 
 from . import fsa as A
-from .errors import AlphabetMismatchError, PreconditionError
+from .errors import AlphabetMismatchError, PreconditionError, StateCapExceededError
 from .finite_code import FiniteCode, Partition, canonical_partition
 from .fsa import Fsa
 from .words import Alphabet, Word, _Frozen
@@ -89,16 +89,19 @@ class RegularPartition(_Frozen):
         classes = tuple(classes)
         if not classes:
             raise PreconditionError("a partition needs at least one class")
+        views = []  # each class's useful positions and moves, read once
         for c in classes:
             if c.alphabet != code.alphabet:
                 raise AlphabetMismatchError("class alphabet differs from the code's")
-            if A.is_empty(c):
+            v = A._View(c)
+            if not v.states:
                 raise PreconditionError("partition classes must be nonempty")
-            if A.accepts(c, ""):
+            if not v.accepting.isdisjoint(v.initial):
                 raise PreconditionError("partition classes may not contain the empty word")
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                if not A.is_empty(A.intersection(classes[i], classes[j])):
+            views.append(v)
+        for i, a in enumerate(views):
+            for j, b in enumerate(views[i + 1:], i + 1):  # the walk stops at the first word both accept
+                if any(p in a.accepting and q in b.accepting for p, q, _i, _c in A._product(a, b, "intersection")):
                     raise PreconditionError(f"classes {i} and {j} overlap")
         if not A.equivalent(A.union(*classes), code.lang):
             raise PreconditionError("classes do not cover the code exactly")
@@ -127,11 +130,46 @@ def is_submonoid(l: Fsa) -> bool:
 
 def base(m: RegularMonoid) -> RegularCode:
     """The unique minimal generating set of the monoid: the nonempty
-    elements that are not products of two nonempty elements."""
+    elements that are not products of two nonempty elements, as its
+    minimal DFA.
+
+    With N the nonempty words, the base is N minus N·N, and its mirror
+    image is rev N minus (rev N)². Each side is exponential where the
+    other is small, so they run in turns under a subset limit that starts
+    at max(64, |N|) and doubles up to the state cap:
+
+    - forward, the subset construction of N beside N·N, refined by
+      Hopcroft's algorithm, which drops its dead subsets;
+    - mirrored, the subset construction D of rev N beside (rev N)², then
+      the subset construction of rev D, which is minimal (Brzozowski,
+      1962), so it has no more states than the forward side has subsets:
+      once D closes, that last step runs under the cap alone.
+
+    Both number the states breadth first, so both give the same DFA
+    field by field. On ((a|b)*a(a|b)^n)* at n = 11 the forward side
+    needs 30 721 subsets for a base of 5119 states and D has 25; on
+    ((a|b)^n a(a|b)*)* the forward side needs 49 and D 30 720. The cap
+    error names the forward construction, and is raised only when both
+    sides pass the cap."""
     nonempty = A.difference(m.lang, A.epsilon_fsa(m.alphabet))
-    # one subset construction, numbered breadth first like determinize's;
-    # the refinement drops its dead subsets
-    b = A._hopcroft(*A._subset_dfa(nonempty, A.concat(nonempty, nonempty)))
+    square = A.concat(nonempty, nonempty)
+    cap = A.state_cap()
+    limit = min(max(64, nonempty.n_states), cap)
+    while True:
+        dfa = A._subset_dfa(nonempty, square, limit)
+        if dfa is not None:
+            b = A._hopcroft(*dfa)
+            break
+        mirrored = A._subset_dfa(A.reverse(nonempty), A.reverse(square), limit)
+        if mirrored is not None:
+            dfa = A._subset_dfa(A.reverse(Fsa(*mirrored)), limit=cap)
+            if dfa is not None:
+                alphabet, n, transitions, initial, accepting = dfa
+                b = Fsa(alphabet, n, sorted(transitions), initial, accepting)
+                break
+        if limit == cap or mirrored is not None:
+            raise StateCapExceededError(f"difference needs more than {cap} states")
+        limit = min(2 * limit, cap)
     if b.n_states == 0:
         raise PreconditionError("the trivial monoid has no base")
     return RegularCode(b)

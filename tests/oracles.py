@@ -236,8 +236,13 @@ def moore_minimize(f: Fsa) -> Fsa:
 def base(m: RegularMonoid) -> Fsa:
     """The base of ``m`` as the minimal DFA of its nonempty words N minus
     N·N, built by the library's walk of the determinized N against the
-    subsets of N·N: the reference for ``partfact.regular.base``, which
-    builds one subset construction of N and N·N side by side."""
+    subsets of N·N: the reference for ``partfact.regular.base``. That
+    builds either the subset construction of N beside N·N, refined, or
+    the subset construction D of rev N beside rev(N·N) and then that of
+    rev D, unrefined, whichever closes first under a limit that doubles
+    from max(64, |N|) to the state cap. On ((a|b)*a(a|b)^11)* D has 25
+    states and the base 5119, where the forward side needs 30 721 subsets
+    and this reference a 4097-state ``determinize(N)``."""
     nonempty = A.difference(m.lang, A.epsilon_fsa(m.alphabet))
     return A.minimize(A.difference(A.determinize(nonempty), A.concat(nonempty, nonempty)))
 

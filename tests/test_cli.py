@@ -329,8 +329,9 @@ def test_state_cap_environment_exits_3(tmp_path):
     code, _, err = run_cli(["complete"], files=[doc], tmp_path=tmp_path,
                            env={"PARTFACT_STATE_CAP": "10"})
     assert code == 3, err
-    # the error names the construction that hit the cap
-    doc["regex"] = "(0|1)*0(0|1)(0|1)(0|1)(0|1)"
+    # the error names the construction that hit the cap; the base has
+    # 159 states, so neither side of its construction fits under 50
+    doc["regex"] = "(0|1)*0" + "(0|1)" * 6
     code, _, err = run_cli(["base"], files=[doc], tmp_path=tmp_path,
                            env={"PARTFACT_STATE_CAP": "50"})
     assert code == 3, err
@@ -340,6 +341,14 @@ def test_state_cap_environment_exits_3(tmp_path):
 def test_deeply_nested_base_is_rendered(tmp_path):
     # the base regex nests 250 stars deep; rendering it needs no recursion
     doc = {"alphabet": ["a", "b"], "kind": "regex", "regex": "(a" * 250 + ")*b" * 250}
+    code, out, err = run_cli(["base", "--quiet"], files=[doc], tmp_path=tmp_path)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_base_past_the_forward_sides_cap_exits_0(tmp_path):
+    # the forward construction of this base passes the default cap; the
+    # mirrored one builds its 20 479 states
+    doc = {"alphabet": ["a", "b"], "kind": "regex", "regex": "(a|b)*a" + "(a|b)" * 13}
     code, out, err = run_cli(["base", "--quiet"], files=[doc], tmp_path=tmp_path)
     assert (code, out, err) == (0, "", "")
 

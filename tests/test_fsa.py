@@ -802,11 +802,15 @@ def test_state_cap():
             A.intersection(q4e, q4e)
         # base of the blow-up monoid ((a|b)*a(a|b)^6)*: the construction
         # that hits the cap depends on how small the cap is; from 50 on it
-        # is the one subset construction of nonempty - nonempty^2
-        for cap, construction in ((20, "Fsa"), (50, "difference"), (300, "difference")):
+        # is the subset construction of nonempty - nonempty^2, and only
+        # below the 159 states of the base, which the mirrored side builds
+        for cap, construction in ((20, "Fsa"), (50, "difference"), (158, "difference")):
             A.set_state_cap(cap)
             with pytest.raises(StateCapExceededError, match=f"^{construction} needs more than {cap} states$"):
                 base(monoid)
+        for cap in (159, 300):
+            A.set_state_cap(cap)
+            assert base(monoid).lang.n_states == 159
     finally:
         A.set_state_cap(old)
     with pytest.raises(InputError):

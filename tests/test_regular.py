@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -92,6 +93,32 @@ def test_regular_partition_validation():
     with pytest.raises(PreconditionError):
         RegularPartition(x, (A.regex_to_fsa("a", AB),))
     RegularPartition(x, (A.regex_to_fsa("a|ab", AB), A.regex_to_fsa("bb", AB)))
+    bb = A.regex_to_fsa("bb", AB)
+    for first, message in (
+        (A.empty_fsa(AB), "partition classes must be nonempty"),
+        (A.Fsa(AB, 3, [(0, "a", 1)], (0,), (2,)), "partition classes must be nonempty"),  # no accepting run
+        (A.regex_to_fsa("_|a|ab", AB), "partition classes may not contain the empty word"),
+        (A.regex_to_fsa("a*(ab)*", AB), "partition classes may not contain the empty word"),  # by spontaneous moves
+    ):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            RegularPartition(x, (first, bb))
+    # the overlap check stops at the first word two classes share: against
+    # the emptiness of their intersection on seeded random classes
+    rng = random.Random(17)
+    overlaps = []
+    while len(overlaps) < 200:
+        classes = [A.difference(A.regex_to_fsa(dialect_text(random_regex(rng, 4), rng), AB), A.epsilon_fsa(AB))
+                   for _ in range(2)]
+        if A.is_empty(classes[0]) or A.is_empty(classes[1]):
+            continue
+        try:
+            RegularPartition(RegularCode(A.union(*classes)), classes)
+            overlaps.append(False)
+        except PreconditionError as e:
+            assert str(e) == "classes 0 and 1 overlap"
+            overlaps.append(True)
+        assert overlaps[-1] == (not A.is_empty(A.intersection(*classes)))
+    assert 20 < sum(overlaps) < 180
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +143,93 @@ def test_base_examples():
     m = RegularMonoid.generated_by(code_rx("(a|b)*a" + "(a|b)" * n))
     b = base(m).lang
     assert b.n_states == 5119
-    rng = random.Random(23)
+    assert_split_rule(m, b, n, random.Random(23))
+
+
+def prefixes_accepted(f):
+    """A function from a text to whether f accepts each prefix of it,
+    shortest first: one run of f's moves per text."""
+    adj = f.adjacency()
+
+    def closure(states):
+        seen, stack = set(states), list(states)
+        while stack:
+            for a, q in adj[stack.pop()]:
+                if a is None and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
+    def run(text):
+        current = closure(f.initial)
+        accepted = [not current.isdisjoint(f.accepting)]
+        for c in text:
+            current = closure({q for p in current for a, q in adj[p] if a == c})
+            accepted.append(not current.isdisjoint(f.accepting))
+        return accepted
+
+    return run
+
+
+def assert_split_rule(m, b, n, rng):
+    """On 200 seeded words of n + 1 to 3n + 3 letters, b accepts t iff the
+    monoid does and no cut splits t into two nonempty words of it."""
+    in_m, in_m_mirrored, in_b = prefixes_accepted(m.lang), prefixes_accepted(A.reverse(m.lang)), prefixes_accepted(b)
     for _ in range(200):
         t = "".join(rng.choice("ab") for _ in range(rng.randint(n + 1, 3 * n + 3)))
-        split = any(A.accepts(m.lang, t[:i]) and A.accepts(m.lang, t[i:]) for i in range(1, len(t)))
-        assert A.accepts(b, t) == (A.accepts(m.lang, t) and not split)
+        heads, tails = in_m(t), in_m_mirrored(t[::-1])[::-1]  # t[:i] and t[i:] in m
+        split = any(heads[i] and tails[i] for i in range(1, len(t)))
+        assert in_b(t)[-1] == (heads[-1] and not split)
 
 
-def test_base_matches_the_difference_construction():
-    # the one subset construction, its dead subsets dropped by the
-    # refinement, against the minimal DFA of the walk of the determinized
-    # nonempty part against its square, field by field: the four blow-up
-    # families and seeded random regex monoids
+def test_base_decides_past_the_forward_sides_cap():
+    # at n = 13 the forward subset construction passes the default cap;
+    # the mirrored side builds the base under it
+    assert A.state_cap() == A.DEFAULT_STATE_CAP
+    n = 13
+    m = RegularMonoid.generated_by(code_rx("(a|b)*a" + "(a|b)" * n))
+    b = base(m).lang
+    assert b.n_states == 20479
+    assert_split_rule(m, b, n, random.Random(41))
+
+
+def test_base_matches_the_difference_construction(monkeypatch):
+    # both sides of base against the minimal DFA of the walk of the
+    # determinized nonempty part against its square, field by field: the
+    # four blow-up families, their two mirror images, also over an
+    # alphabet declared out of code-point order, and seeded random regex
+    # monoids. The forward side's last subset construction is of a
+    # difference, the mirrored side's of a mirrored DFA; each finishes
     monoids = []
-    for n in range(1, 12):
-        tail = "(a|b)" * n
-        for expr in (f"b*a{tail}", f"(a|b)*a{tail}", f"(b*a)+{tail}", f"(a|b)*a{tail}|(a|b)*b{tail}"):
-            monoids.append(RegularMonoid.generated_by(code_rx(expr)))
+    for alphabet, sizes in ((AB, range(1, 12)), (BA, range(1, 7))):
+        for n in sizes:
+            tail = "(a|b)" * n
+            for expr in (f"b*a{tail}", f"(a|b)*a{tail}", f"(b*a)+{tail}", f"(a|b)*a{tail}|(a|b)*b{tail}",
+                         f"{tail}a(a|b)*", f"{tail}ab*"):
+                monoids.append(RegularMonoid.generated_by(code_rx(expr, alphabet)))
     rng = random.Random(29)
-    while len(monoids) < 44 + 320:
+    families = len(monoids)
+    while len(monoids) < families + 320:
         code = A.difference(A.regex_to_fsa(dialect_text(random_regex(rng, 5), rng), AB), A.epsilon_fsa(AB))
         if code.n_states:
             monoids.append(RegularMonoid.generated_by(RegularCode(code)))
-    sizes = set()
+    subset_dfa, mirrored = A._subset_dfa, []
+
+    def recorded(l, r=None, limit=None):
+        mirrored.append(r is None)
+        return subset_dfa(l, r, limit)
+
+    monkeypatch.setattr(A, "_subset_dfa", recorded)
+    sizes, sides = set(), set()
     for m in monoids:
-        got, want = base(m).lang, oracles.base(m)
+        got = base(m).lang
+        sides.add(mirrored[-1])
+        want = oracles.base(m)
         assert (got.n_states, got.transitions, got.initial, got.accepting) == (
             want.n_states, want.transitions, want.initial, want.accepting)
         sizes.add(got.n_states)
     assert max(sizes) == 5119 and len(sizes) > 20
+    assert sides == {False, True}
 
 
 def test_base_of_trivial_monoid():
