@@ -253,7 +253,10 @@ def cmd_lattice(doc: Document, args) -> dict:
 
 def cmd_base(doc: Document, args) -> dict:
     b = base(doc.monoid())
-    return {"classes": {"base": _language_value(b.lang)}}
+    # --quiet prints no report, and rendering cannot fail: a regex
+    # document's alphabet has no reserved symbol, and a finite code's
+    # base is finite
+    return {} if args.quiet else {"classes": {"base": _language_value(b.lang)}}
 
 
 def cmd_is_base(doc: Document, args) -> dict:

@@ -2,9 +2,7 @@
 
 Acceptors are nondeterministic, may carry spontaneous (label ``None``)
 transitions, and are immutable once built: every operation allocates a
-fresh result, so concurrent use is safe. Parallel duplicate transitions
-are preserved, because run counting (:func:`is_unambiguous`) treats each
-transition as a distinct run step.
+fresh result, so concurrent use is safe.
 
 The subset and product constructions read a view of each operand on its
 own state numbers and build no spontaneous-move-free acceptor (that is
@@ -81,7 +79,9 @@ class Fsa(_Frozen):
     ``transitions`` is a sequence of ``(src, label, dst)`` triples where
     ``label`` is a single alphabet symbol or ``None`` for a spontaneous
     move. States are the integers ``0 .. n_states-1``. ``initial`` and
-    ``accepting`` are frozensets that iterate in ascending order.
+    ``accepting`` are frozensets that iterate in ascending order. Parallel
+    duplicate transitions are kept: the run-counting oracle of the tests
+    (``tests/oracles.py``) counts each one as a distinct run step.
     """
 
     __slots__ = ("alphabet", "n_states", "transitions", "initial", "accepting")
@@ -188,10 +188,10 @@ def _reachable(seeds: Iterable, succ) -> set:
     return seen
 
 
-def _postorder(roots: Iterable, succ) -> tuple[Optional[list], Optional[object]]:
+def _postorder(roots: Iterable, succ) -> Optional[list]:
     """Depth-first search from each unvisited root in turn, successors in
-    ``succ[p]`` order. Returns ``(post-order, None)``, or ``(None, q)``
-    for the first node ``q`` found to lie on a cycle."""
+    ``succ[p]`` order. Returns the post-order, or None when some node lies
+    on a cycle."""
     done: dict = {}  # node -> False while on the stack, True once finished
     order = []
     for root in roots:
@@ -207,34 +207,12 @@ def _postorder(roots: Iterable, succ) -> tuple[Optional[list], Optional[object]]
                     stack.append((q, iter(succ[q])))
                     break
                 if not done[q]:
-                    return None, q
+                    return None
             else:
                 done[p] = True
                 order.append(p)
                 stack.pop()
-    return order, None
-
-
-def _bfs(seeds: Iterable, succ):
-    """Breadth-first search from lazily generated ``(node, word)`` seeds;
-    ``succ(u)`` lists the ``(label, v)`` edges of ``u`` and is called only
-    after ``u`` is yielded. Yields each node once, when first reached,
-    with the parent links so far: ``links[v]`` is ``(u, label)`` for the
-    edge that first reached ``v``, or ``(None, word)`` for a seed."""
-    links: dict = {}
-    queue = deque()
-    for node, word in seeds:
-        if node not in links:
-            links[node] = (None, word)
-            queue.append(node)
-            yield node, links
-    while queue:
-        u = queue.popleft()
-        for label, v in succ(u):
-            if v not in links:
-                links[v] = (u, label)
-                queue.append(v)
-                yield v, links
+    return order
 
 
 def _spell(links, node) -> str:
@@ -720,7 +698,7 @@ def enumerate_finite_language(f: Fsa) -> list[Word]:
     """
     g = eliminate_epsilon(f)
     adj = g.adjacency()
-    order, _cycle = _postorder(range(g.n_states), [[q for _a, q in adj[s]] for s in range(g.n_states)])
+    order = _postorder(range(g.n_states), [[q for _a, q in adj[s]] for s in range(g.n_states)])
     if order is None:
         raise PreconditionError("language is infinite (acceptor has a cycle)")
     suffixes: dict[int, set[str]] = {}
@@ -733,127 +711,6 @@ def enumerate_finite_language(f: Fsa) -> list[Word]:
     for s in g.initial:
         texts.update(suffixes[s])
     return sorted(Word(g.alphabet, t) for t in texts)
-
-
-# ---------------------------------------------------------------------------
-# Run-counting ambiguity
-
-
-def is_unambiguous(f: Fsa) -> bool:
-    """True iff every accepted word has exactly one accepting run.
-
-    A run is the full sequence of transitions taken, spontaneous moves
-    included, so parallel duplicate transitions and alternative
-    spontaneous routes count as distinct runs.
-    """
-    return _find_ambiguous_word(f) is None
-
-
-def ambiguity_witness(f: Fsa) -> Optional[Word]:
-    """Some word accepted by at least two distinct runs, or None when the
-    acceptor is run-unambiguous."""
-    text = _find_ambiguous_word(f)
-    return None if text is None else Word(f.alphabet, text)
-
-
-def _raw_word(f: Fsa, seeds, target: int, reverse: bool) -> str:
-    """A shortest word (by arc count) from a seed to ``target`` following
-    raw transitions; with ``reverse``, from ``target`` into a seed."""
-    adj = defaultdict(list)
-    for p, a, q in f.transitions:
-        src, dst = (q, p) if reverse else (p, q)
-        adj[src].append(("" if a is None else a, dst))
-    for v, links in _bfs(((s, "") for s in seeds), adj.__getitem__):
-        if v == target:
-            return _spell(links, v)[::-1] if reverse else _spell(links, v)
-
-
-def _find_ambiguous_word(f: Fsa) -> Optional[str]:
-    f = trim(f)
-    n = f.n_states
-    eps_out = defaultdict(list)
-    sym_by_src = defaultdict(list)
-    for p, a, q in f.transitions:
-        if a is None:
-            eps_out[p].append(q)
-        else:
-            sym_by_src[p].append((a, q))
-
-    def completion(state: int) -> str:
-        return _raw_word(f, f.accepting, state, reverse=True)
-
-    # Any spontaneous cycle among useful states yields unboundedly many
-    # runs for some accepted word.
-    topo, cycle = _postorder(range(n), eps_out)
-    if topo is None:
-        return _raw_word(f, f.initial, cycle, reverse=False) + completion(cycle)
-
-    # Saturating count (0, 1, >=2) of distinct spontaneous paths p -> q,
-    # kept only for the q where a run can stop or read a symbol: the
-    # counts below read no other q, and a long spontaneous chain stays
-    # linear in size.
-    exits = f.accepting | sym_by_src.keys()
-    npaths = [defaultdict(int) for _ in range(n)]
-    for s in topo:  # successors already done
-        if s in exits:
-            npaths[s][s] = 1
-        for q in eps_out[s]:
-            for t, c in npaths[q].items():
-                npaths[s][t] = min(2, npaths[s][t] + c)
-
-    # Spontaneous paths into acceptance, per state.
-    tails = [min(2, sum(c for t, c in npaths[s].items() if t in f.accepting)) for s in range(n)]
-
-    # A "position" is a state a run occupies between consumed symbols:
-    # an initial state or the target of a symbol transition. A move
-    # folds one spontaneous path and one symbol transition together.
-    def moves_from(p: int) -> dict[tuple[str, int], int]:
-        counts: dict[tuple[str, int], int] = defaultdict(int)
-        for m, k in npaths[p].items():
-            for a, q in sym_by_src.get(m, ()):
-                counts[(a, q)] = min(2, counts[(a, q)] + k)
-        return counts
-
-    # Breadth first over positions; a position's moves are computed, and
-    # checked, when it is first reached.
-    access: dict[int, str] = {}
-    reads: dict[int, dict[tuple[str, int], int]] = {}  # position -> moves_from
-    moves: dict[int, dict[str, list[int]]] = {}
-    for p, links in _bfs(((p, "") for p in f.initial), lambda p: reads[p]):
-        u, a = links[p]
-        access[p] = word = a if u is None else access[u] + a
-        if tails[p] >= 2:
-            return word  # two spontaneous routes into acceptance
-        reads[p] = moves_from(p)
-        moves[p] = defaultdict(list)
-        for (a, q), k in reads[p].items():
-            if k >= 2:
-                return word + a + completion(q)  # duplicated move
-            moves[p][a].append(q)
-
-    # Two runs over the same word: unordered diverged state pairs, breadth
-    # first. The seeds are generated lazily, so the first pair where both
-    # diverged runs accept is found without building the rest.
-    def pair(p: int, q: int) -> tuple[int, int]:
-        return (p, q) if p <= q else (q, p)
-
-    def pair_moves(key: tuple[int, int]):
-        p, q = key
-        for a, ptargets in moves[p].items():
-            qtargets = moves[q].get(a, ())
-            for p2 in ptargets:
-                for q2 in qtargets:
-                    yield a, pair(p2, q2)
-
-    forks = chain(  # (word, states) where several runs part: the start, then every move
-        [("", list(f.initial))],
-        ((access[p] + a, ts) for p, by in moves.items() for a, ts in by.items()),
-    )
-    seeds = ((pair(q1, q2), word) for word, ts in forks for i, q1 in enumerate(ts) for q2 in ts[i + 1:])
-    for (p, q), links in _bfs(seeds, pair_moves):
-        if tails[p] >= 1 and tails[q] >= 1:
-            return _spell(links, (p, q))
-    return None
 
 
 # ---------------------------------------------------------------------------

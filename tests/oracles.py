@@ -5,10 +5,10 @@ subset construction and product walks over it, Moore's minimization),
 the base of a regular monoid by two differences, the prime-relation
 search over the whole dangling-suffix graph, the finest coding partition,
 the lattice operations and co-occurrence over Word objects, an audit
-bound for the co-occurrence analysis, the run-counting parsers for
-unique decipherability and coding partitions of regular codes, and a
-brute-force search for the least message with two (block)
-factorizations.
+bound for the co-occurrence analysis, the run-counting ambiguity search
+of an acceptor and its parsers for unique decipherability and coding
+partitions of regular codes, and a brute-force search for the least
+message with two (block) factorizations.
 
 The brute-force oracle and relation search share no code with the
 exact analyses in ``partfact.finite_code``, so the tests can use them as
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from itertools import product
+from itertools import chain, product
 from typing import Optional, Sequence
 
 from partfact import FiniteCode, Partition, PreconditionError, RegularMonoid, Word
@@ -36,6 +36,7 @@ from partfact.fsa import (
     _check_cap,
     _reachable,
     _require_same_alphabet,
+    _spell,
     _useful,
     empty_fsa,
     factor_closure,
@@ -247,6 +248,180 @@ def base(m: RegularMonoid) -> Fsa:
     return A.minimize(A.difference(A.determinize(nonempty), A.concat(nonempty, nonempty)))
 
 
+# ---------------------------------------------------------------------------
+# Run counting: whether an acceptor reads some word along two accepting
+# runs, spontaneous moves and parallel duplicate transitions included, and
+# such a word, found breadth first. The parsers below turn unique
+# decipherability and coding partitions of regular codes into this
+# question: the reference for the pair walk of ``partfact.regular``.
+
+
+def _postorder(roots, succ) -> tuple[Optional[list], Optional[object]]:
+    """Depth-first search from each unvisited root in turn, successors in
+    ``succ[p]`` order. Returns ``(post-order, None)``, or ``(None, q)``
+    for the first node ``q`` found to lie on a cycle."""
+    done: dict = {}  # node -> False while on the stack, True once finished
+    order = []
+    for root in roots:
+        if root in done:
+            continue
+        done[root] = False
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            p, it = stack[-1]
+            for q in it:
+                if q not in done:
+                    done[q] = False
+                    stack.append((q, iter(succ[q])))
+                    break
+                if not done[q]:
+                    return None, q
+            else:
+                done[p] = True
+                order.append(p)
+                stack.pop()
+    return order, None
+
+
+def _bfs(seeds, succ):
+    """Breadth-first search from lazily generated ``(node, word)`` seeds;
+    ``succ(u)`` lists the ``(label, v)`` edges of ``u`` and is called only
+    after ``u`` is yielded. Yields each node once, when first reached,
+    with the parent links so far: ``links[v]`` is ``(u, label)`` for the
+    edge that first reached ``v``, or ``(None, word)`` for a seed."""
+    links: dict = {}
+    queue = deque()
+    for node, word in seeds:
+        if node not in links:
+            links[node] = (None, word)
+            queue.append(node)
+            yield node, links
+    while queue:
+        u = queue.popleft()
+        for label, v in succ(u):
+            if v not in links:
+                links[v] = (u, label)
+                queue.append(v)
+                yield v, links
+
+
+def is_unambiguous(f: Fsa) -> bool:
+    """True iff every accepted word has exactly one accepting run.
+
+    A run is the full sequence of transitions taken, spontaneous moves
+    included, so parallel duplicate transitions and alternative
+    spontaneous routes count as distinct runs.
+    """
+    return _find_ambiguous_word(f) is None
+
+
+def ambiguity_witness(f: Fsa) -> Optional[Word]:
+    """Some word accepted by at least two distinct runs, or None when the
+    acceptor is run-unambiguous."""
+    text = _find_ambiguous_word(f)
+    return None if text is None else Word(f.alphabet, text)
+
+
+def _raw_word(f: Fsa, seeds, target: int, reverse: bool) -> str:
+    """A shortest word (by arc count) from a seed to ``target`` following
+    raw transitions; with ``reverse``, from ``target`` into a seed."""
+    adj = defaultdict(list)
+    for p, a, q in f.transitions:
+        src, dst = (q, p) if reverse else (p, q)
+        adj[src].append(("" if a is None else a, dst))
+    for v, links in _bfs(((s, "") for s in seeds), adj.__getitem__):
+        if v == target:
+            return _spell(links, v)[::-1] if reverse else _spell(links, v)
+
+
+def _find_ambiguous_word(f: Fsa) -> Optional[str]:
+    f = trim(f)
+    n = f.n_states
+    eps_out = defaultdict(list)
+    sym_by_src = defaultdict(list)
+    for p, a, q in f.transitions:
+        if a is None:
+            eps_out[p].append(q)
+        else:
+            sym_by_src[p].append((a, q))
+
+    def completion(state: int) -> str:
+        return _raw_word(f, f.accepting, state, reverse=True)
+
+    # Any spontaneous cycle among useful states yields unboundedly many
+    # runs for some accepted word.
+    topo, cycle = _postorder(range(n), eps_out)
+    if topo is None:
+        return _raw_word(f, f.initial, cycle, reverse=False) + completion(cycle)
+
+    # Saturating count (0, 1, >=2) of distinct spontaneous paths p -> q,
+    # kept only for the q where a run can stop or read a symbol: the
+    # counts below read no other q, and a long spontaneous chain stays
+    # linear in size.
+    exits = f.accepting | sym_by_src.keys()
+    npaths = [defaultdict(int) for _ in range(n)]
+    for s in topo:  # successors already done
+        if s in exits:
+            npaths[s][s] = 1
+        for q in eps_out[s]:
+            for t, c in npaths[q].items():
+                npaths[s][t] = min(2, npaths[s][t] + c)
+
+    # Spontaneous paths into acceptance, per state.
+    tails = [min(2, sum(c for t, c in npaths[s].items() if t in f.accepting)) for s in range(n)]
+
+    # A "position" is a state a run occupies between consumed symbols:
+    # an initial state or the target of a symbol transition. A move
+    # folds one spontaneous path and one symbol transition together.
+    def moves_from(p: int) -> dict[tuple[str, int], int]:
+        counts: dict[tuple[str, int], int] = defaultdict(int)
+        for m, k in npaths[p].items():
+            for a, q in sym_by_src.get(m, ()):
+                counts[(a, q)] = min(2, counts[(a, q)] + k)
+        return counts
+
+    # Breadth first over positions; a position's moves are computed, and
+    # checked, when it is first reached.
+    access: dict[int, str] = {}
+    reads: dict[int, dict[tuple[str, int], int]] = {}  # position -> moves_from
+    moves: dict[int, dict[str, list[int]]] = {}
+    for p, links in _bfs(((p, "") for p in f.initial), lambda p: reads[p]):
+        u, a = links[p]
+        access[p] = word = a if u is None else access[u] + a
+        if tails[p] >= 2:
+            return word  # two spontaneous routes into acceptance
+        reads[p] = moves_from(p)
+        moves[p] = defaultdict(list)
+        for (a, q), k in reads[p].items():
+            if k >= 2:
+                return word + a + completion(q)  # duplicated move
+            moves[p][a].append(q)
+
+    # Two runs over the same word: unordered diverged state pairs, breadth
+    # first. The seeds are generated lazily, so the first pair where both
+    # diverged runs accept is found without building the rest.
+    def pair(p: int, q: int) -> tuple[int, int]:
+        return (p, q) if p <= q else (q, p)
+
+    def pair_moves(key: tuple[int, int]):
+        p, q = key
+        for a, ptargets in moves[p].items():
+            qtargets = moves[q].get(a, ())
+            for p2 in ptargets:
+                for q2 in qtargets:
+                    yield a, pair(p2, q2)
+
+    forks = chain(  # (word, states) where several runs part: the start, then every move
+        [("", list(f.initial))],
+        ((access[p] + a, ts) for p, by in moves.items() for a, ts in by.items()),
+    )
+    seeds = ((pair(q1, q2), word) for word, ts in forks for i, q1 in enumerate(ts) for q2 in ts[i + 1:])
+    for (p, q), links in _bfs(seeds, pair_moves):
+        if tails[p] >= 1 and tails[q] >= 1:
+            return _spell(links, (p, q))
+    return None
+
+
 def _block_parser(classes: Sequence[Fsa]) -> Fsa:
     """Parser whose accepting runs are the block factorizations for the
     partition into the given classes: one minimal DFA per class language
@@ -278,12 +453,12 @@ def ud_run_witness(x: Fsa) -> Optional[Word]:
     time through the minimal acceptor of the code ``x`` and marks each
     boundary with a spontaneous move back to its start: the run-counting
     reference for ``partfact.regular.ud_ambiguity_witness``."""
-    return A.ambiguity_witness(A.plus(A.minimize(x)))
+    return ambiguity_witness(A.plus(A.minimize(x)))
 
 
 def coding_run_witness(classes: Sequence[Fsa]) -> Optional[Word]:
     """A word with two runs of the block parser of the classes."""
-    return A.ambiguity_witness(_block_parser(classes))
+    return ambiguity_witness(_block_parser(classes))
 
 
 def least_two_factorizations(

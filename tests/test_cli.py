@@ -341,8 +341,21 @@ def test_state_cap_environment_exits_3(tmp_path):
 def test_deeply_nested_base_is_rendered(tmp_path):
     # the base regex nests 250 stars deep; rendering it needs no recursion
     doc = {"alphabet": ["a", "b"], "kind": "regex", "regex": "(a" * 250 + ")*b" * 250}
-    code, out, err = run_cli(["base", "--quiet"], files=[doc], tmp_path=tmp_path)
-    assert (code, out, err) == (0, "", "")
+    code, out, err = run_cli(["base"], files=[doc], tmp_path=tmp_path)
+    assert (code, err) == (0, "")
+    assert re.search(r"^  base: \S", out, re.M), out
+
+
+def test_quiet_base_renders_nothing(monkeypatch):
+    # --quiet prints no report, so the base is not rendered
+    rendered = []
+    to_regex = A.fsa_to_regex
+    monkeypatch.setattr(A, "fsa_to_regex", lambda f: rendered.append(f) or to_regex(f))
+    doc = {"alphabet": ["a", "b"], "kind": "regex", "regex": "a*b"}
+    assert "classes" not in in_process("base", doc, "--quiet")
+    assert rendered == []
+    assert in_process("base", doc)["classes"]["base"] == "a*b"
+    assert len(rendered) == 1
 
 
 def test_base_past_the_forward_sides_cap_exits_0(tmp_path):
@@ -455,7 +468,7 @@ def test_each_command_asks_each_question_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
         return counted
 
-    for name in ("minimize", "_find_ambiguous_word", "_subset_walk"):
+    for name in ("minimize", "_subset_walk"):
         count(A, name)
     count(R, "_two_factorizations")
     monkeypatch.setattr(cli, "base", count(R, "base"))
@@ -463,8 +476,8 @@ def test_each_command_asks_each_question_once(monkeypatch):
     ab = {"alphabet": ["a", "b"], "kind": "regex"}
     not_coding = dict(EXAMPLE3_DOC, partition={"X0": "a|ad*b", "X1": "bb|c|bc*bb"})
     for command, doc, expected in [
-        ("ud", dict(ab, regex="a|ab|ba"), {"minimize": 0, "_find_ambiguous_word": 0, "_two_factorizations": 1}),
-        ("check-partition", not_coding, {"minimize": 0, "_find_ambiguous_word": 0, "_two_factorizations": 1}),
+        ("ud", dict(ab, regex="a|ab|ba"), {"minimize": 0, "_two_factorizations": 1}),
+        ("check-partition", not_coding, {"minimize": 0, "_two_factorizations": 1}),
         ("witness", dict(ab, regex="aa|ba"), {"_subset_walk": 1}),
         # base walks once, for its nonempty part; its second difference is
         # a subset construction and equivalent a walk of subset pairs, not
@@ -475,3 +488,7 @@ def test_each_command_asks_each_question_once(monkeypatch):
         counts.clear()
         report = in_process(command, doc)
         assert {name: counts[name] for name in expected} == expected, (command, report)
+    # the pair walk is the library's only ambiguity search; run counting
+    # lives in the test oracles
+    removed = ("is_unambiguous", "ambiguity_witness", "_find_ambiguous_word", "_raw_word", "_bfs")
+    assert [name for name in removed if hasattr(A, name)] == []

@@ -185,8 +185,8 @@ def test_acceptors_without_useful_states():
         for op in (A.trim, A.eliminate_epsilon, A.factor_closure, A.determinize, A.minimize):
             assert op(f).n_states == 0, op
         assert A.enumerate_finite_language(f) == []
-        assert A.is_unambiguous(f)
-        assert A.ambiguity_witness(f) is None
+        assert oracles.is_unambiguous(f)
+        assert oracles.ambiguity_witness(f) is None
         assert A.shortest_word(f) is None
         assert A.fsa_to_regex(f) is None
 
@@ -716,29 +716,29 @@ def test_enumerate_finite_language():
 
 
 # ---------------------------------------------------------------------------
-# Run-unambiguity
+# Run-unambiguity (the oracle's run-counting search)
 
 
 def test_unambiguous_examples():
     d = A.determinize(rx("(ab)*a"))
-    assert A.is_unambiguous(d)
+    assert oracles.is_unambiguous(d)
     parallel = Fsa(AB, 2, [(0, "a", 1), (0, "a", 1)], (0,), (1,))
-    assert not A.is_unambiguous(parallel)
+    assert not oracles.is_unambiguous(parallel)
     twopath = Fsa(AB, 3, [(0, "a", 1), (0, "a", 2)], (0,), (1, 2))
-    assert not A.is_unambiguous(twopath)
+    assert not oracles.is_unambiguous(twopath)
     eps_cycle = Fsa(AB, 2, [(0, None, 0), (0, "a", 1)], (0,), (1,))
-    assert not A.is_unambiguous(eps_cycle)
+    assert not oracles.is_unambiguous(eps_cycle)
     diverge_reconverge = Fsa(AB, 4, [(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "b", 3)], (0,), (3,))
-    assert not A.is_unambiguous(diverge_reconverge)
-    assert A.is_unambiguous(A.empty_fsa(AB))
+    assert not oracles.is_unambiguous(diverge_reconverge)
+    assert oracles.is_unambiguous(A.empty_fsa(AB))
     n = 10_000
     chain = [(i, None, i + 1) for i in range(n - 1)]
-    assert A.is_unambiguous(Fsa(AB, n, chain, (0,), (n - 1,)))
+    assert oracles.is_unambiguous(Fsa(AB, n, chain, (0,), (n - 1,)))
     forked = Fsa(AB, n, chain + [(0, None, n - 1)], (0,), (n - 1,))
-    assert A.ambiguity_witness(forked) == AB.word("")
+    assert oracles.ambiguity_witness(forked) == AB.word("")
     n = 500
     looped = Fsa(AB, n, chain[:n - 1] + [(i, "a", i) for i in range(n)], (0,), (n - 1,))
-    assert A.ambiguity_witness(looped) == AB.word("a")
+    assert oracles.ambiguity_witness(looped) == AB.word("a")
 
 
 def test_unambiguity_matches_run_counting():
@@ -746,7 +746,7 @@ def test_unambiguity_matches_run_counting():
     checked_ambiguous = 0
     for _ in range(80):
         f = random_fsa(rng, AB)
-        verdict = A.is_unambiguous(f)
+        verdict = oracles.is_unambiguous(f)
         if verdict:
             assert not has_ambiguous_word(f, 8)
         else:
@@ -760,9 +760,9 @@ def test_ambiguity_witness_is_genuinely_ambiguous():
     witnessed = 0
     for _ in range(80):
         f = random_fsa(rng, AB)
-        w = A.ambiguity_witness(f)
+        w = oracles.ambiguity_witness(f)
         if w is None:
-            assert A.is_unambiguous(f)
+            assert oracles.is_unambiguous(f)
             continue
         witnessed += 1
         assert count_runs(f, w.text, cap=2) >= 2, f
@@ -773,7 +773,7 @@ def test_run_counting_counts_epsilon_routes():
     # one symbol transition reachable through two distinct spontaneous paths
     f = Fsa(AB, 4, [(0, None, 1), (0, None, 2), (1, None, 3), (2, None, 3)], (0,), (3,))
     assert count_runs(f, "") >= 2
-    assert not A.is_unambiguous(f)
+    assert not oracles.is_unambiguous(f)
 
 
 # ---------------------------------------------------------------------------

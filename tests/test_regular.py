@@ -420,11 +420,11 @@ def test_regular_is_coding_examples():
 
 def test_example1_block_parser_is_unambiguous_by_run_counting():
     from conftest import has_ambiguous_word
-    from oracles import _block_parser
+    from oracles import _block_parser, is_unambiguous
     from partfact import canonical_coding_partition
 
     parser = _block_parser(RegularPartition.from_finite(canonical_coding_partition(EXAMPLE1)).classes)
-    assert A.is_unambiguous(parser)
+    assert is_unambiguous(parser)
     assert not has_ambiguous_word(parser, 8)
 
 
