@@ -3,8 +3,8 @@
 Reads a JSON analysis document (finite code or regex), dispatches to the
 library, and prints a human-readable table or a machine-readable JSON
 report. Exit codes: 0 success, 1 false verdict under ``--quiet``,
-2 malformed input, 3 state-cap exceeded, 4 precondition violation,
-5 internal error.
+2 malformed input or output that can no longer be written, 3 state-cap
+exceeded, 4 precondition violation, 5 internal error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import cached_property
 from typing import Optional
 
 from . import fsa as A
@@ -85,7 +86,6 @@ class Document:
             if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
                 raise InputError('finite documents need "code": a list of words')
             self.finite_code = FiniteCode(self.alphabet, words)
-            self.code_fsa = A.word_set_fsa(self.alphabet, self.finite_code.words)
         else:
             expr = data.get("regex")
             if not isinstance(expr, str):
@@ -93,6 +93,13 @@ class Document:
             self.code_fsa = A.regex_to_fsa(expr, self.alphabet)
         self.partition_raw = data.get("partition")
         self.partitions_raw = data.get("partitions")
+
+    @cached_property
+    def code_fsa(self) -> Fsa:
+        """A finite code's trie, built only for a command that reads it: the
+        finite-code analyses need none, and a long word's trie can pass the
+        state cap."""
+        return A.word_set_fsa(self.alphabet, self.finite_code.words)
 
     def _class_fsa(self, spec) -> Fsa:
         if isinstance(spec, str):
@@ -138,13 +145,11 @@ class Document:
         return RegularPartition(RegularCode(self.code_fsa), tuple(f for _n, f in self.partition_classes()))
 
     def monoid(self) -> RegularMonoid:
-        """The input language as a monoid: taken verbatim when it already
-        is a submonoid, otherwise the star of the code."""
+        """The input language as a monoid: taken verbatim when it holds the
+        empty word, so it must be a submonoid, otherwise the star of the code."""
         if not A.accepts(self.code_fsa, ""):
             return RegularMonoid.generated_by(RegularCode(self.code_fsa))
-        if not A.includes(self.code_fsa, A.concat(self.code_fsa, self.code_fsa)):
-            raise PreconditionError("language contains the empty word but is not a submonoid")
-        return RegularMonoid(self.code_fsa, _trusted=True)
+        return RegularMonoid(self.code_fsa)
 
 
 def _build_partition(code, classes) -> Partition:
@@ -471,17 +476,22 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     status = EXIT_OK
     batch = len(sources) > 1
-    for path, report, code in results:
-        if code != EXIT_OK:
-            print(f"partfact: {path}: {report.get('error')}", file=sys.stderr)
-            status = max(status, code)
-            continue
-        if not args.quiet:
-            if batch:
-                report = dict(report)
-                report["input"] = path
-            print(render(report, args.format))
-        status = max(status, _exit_code_for(report, args.quiet))
+    try:
+        for path, report, code in results:
+            if code != EXIT_OK:
+                print(f"partfact: {path}: {report.get('error')}", file=sys.stderr)
+                status = max(status, code)
+                continue
+            if not args.quiet:
+                if batch:
+                    report = dict(report)
+                    report["input"] = path
+                print(render(report, args.format))
+            status = max(status, _exit_code_for(report, args.quiet))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: stop, and let no later flush fail on it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return max(status, EXIT_BAD_INPUT)
     return status
 
 

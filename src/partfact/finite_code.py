@@ -1,29 +1,26 @@
 """Exact decipherability analysis of finite codes.
 
-Everything here is exact: unique decipherability is decided by the
-classical Sardinas-Patterson residual iteration on the dangling-suffix
-graph, where prime relations correspond to source-to-terminal paths.
-The finest coding partition is read off that graph without any length
-bound: its classes are the connected components of the code words
-linked through the internal nodes of their useful arcs, which are the
-components of word co-occurrence in prime relations. Pairwise
-co-occurrence (:func:`cooccurrence_pairs`) is computed by a separate
-reachability pass and stays as an exact cross-check.
+Everything here is exact. The residuals of the classical
+Sardinas-Patterson iteration are the nodes of the dangling-suffix graph,
+whose paths from the source to the end, where the residual empties, are
+the prime relations. One reader walks it: forward, nearest first, within
+a message length bound, then backward to each residual's fewest letters
+to the end. Unique decipherability and the relation search read within
+the shortest relation's length or the given bound; the finest coding
+partition (the words joined through the internal nodes of their useful
+arcs) and :func:`cooccurrence_pairs`, its exact cross-check, read it all.
 
-No step scans the whole code. An index over the sorted code texts finds
-the words a residual starts with (one probe per distinct word length)
-and the words that extend it (one bisect run), so the graph is built
-output-sensitively; it and the partitions name words by their places in
-shortlex order, so no word is hashed. The relation search builds no
-graph: it reads the residuals nearest first from the source, within the
-message length bound, and walks each residual's moves ranked by the
-letters they add, up to the bound. :func:`p_factorize` probes each
-position once per word length.
+No step scans the whole code: an index over the sorted code texts finds
+the words comparable with a residual by one probe per distinct word
+length and one bisect run. The partitions number the words in shortlex
+order and the useful residuals by their distance to the end, so no Word
+is hashed. :func:`p_factorize` probes each position once per word length.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_right
 from collections import defaultdict
 from typing import Iterable, Optional, Sequence, Union
@@ -241,10 +238,8 @@ class PFactorization(_Frozen):
 # Nodes are the nonempty residuals of the Sardinas-Patterson iteration;
 # a prime relation is exactly a path from the virtual source (one arc per
 # ordered pair of distinct code words, one a proper prefix of the other)
-# to the terminal node where the residual becomes empty. Arcs are
-# annotated with the code words they consume, by their places in shortlex
-# order, so co-occurrence of two words in some prime relation reduces to a
-# waypoint query: is there a source-to-terminal path using an arc of each?
+# to the end, where the residual becomes empty. Each arc consumes a code
+# word, a source arc two; an arc is useful when it lies on such a path.
 
 
 class _CodeIndex:
@@ -288,60 +283,6 @@ class _CodeIndex:
         return [(w, u[len(w):] if len(w) <= len(u) else w[len(u):]) for w in self.comparable(u)]
 
 
-class _SuffixGraph:
-    def __init__(self, code: FiniteCode):
-        index = _CodeIndex(code)
-        self.words = code.sorted_words()
-        number = {w.text: i for i, w in enumerate(self.words)}
-        node_ids: dict[str, int] = {}
-        residual: list[str] = []  # node id -> residual; also the breadth-first queue
-        arcs = []  # (src_id, dst_id, (word,)) with dst -1 when the residual empties
-        into = defaultdict(list)  # dst_id -> the src_ids of its arcs
-
-        def intern(r: str) -> int:
-            if r not in node_ids:
-                node_ids[r] = len(residual)
-                residual.append(r)
-            return node_ids[r]
-
-        starts = index.starts()
-        for _x, _y, r in starts:
-            intern(r)
-        for uid, u in enumerate(residual):  # runs on to the nodes interned meanwhile
-            for w, r in index.moves(u):
-                dst = intern(r) if r else -1
-                arcs.append((uid, dst, (number[w],)))
-                into[dst].append(uid)
-
-        self.term = term = len(residual)
-        self.source = source = term + 1
-        self.residual = residual
-        # every node is interned from the source: the useful ones reach the terminal
-        useful = _reachable(into[-1], into)
-        self.arcs = [(source, node_ids[r], (number[x], number[y])) for x, y, r in starts if node_ids[r] in useful]
-        self.arcs += [(src, dst if dst >= 0 else term, ann) for src, dst, ann in arcs if dst < 0 or dst in useful]
-
-    def cooccurring_pairs(self) -> set[tuple[int, int]]:
-        # The pairs (i, j), i < j, of co-occurring word numbers. Two words
-        # co-occur when an arc of one leaves a node reachable (reflexively)
-        # from the head of an arc of the other, or when they share a source arc.
-        fwd: list[list[int]] = [[] for _ in range(self.source + 1)]
-        heads: list[list[int]] = [[] for _ in self.words]  # word -> heads of the arcs consuming it
-        leaving: list[set[int]] = [set() for _ in range(self.source + 1)]  # node -> words of its out-arcs
-        pairs: set[tuple[int, int]] = set()
-        for src, dst, ann in self.arcs:
-            fwd[src].append(dst)
-            leaving[src].update(ann)
-            for i in ann:
-                heads[i].append(dst)
-            if len(ann) == 2:
-                pairs.add(tuple(sorted(ann)))
-        for i, dsts in enumerate(heads):
-            met = set().union(*(leaving[node] for node in _reachable(dsts, fwd)))
-            pairs.update((i, j) if i < j else (j, i) for j in met if j != i)
-        return pairs
-
-
 def _nearest_first(starts, arcs):
     """Yield (distance, node) for each node reached from the (distance,
     node) ``starts``, nearest first. ``arcs(node)`` lists the (weight, node)
@@ -351,43 +292,35 @@ def _nearest_first(starts, arcs):
     buckets: dict[int, list] = {}
     pending: list[int] = []
 
-    def reach(d: int, node) -> None:
-        if d < dist.get(node, d + 1):
-            dist[node] = d
-            if d not in buckets:
-                heapq.heappush(pending, d)
-            buckets.setdefault(d, []).append(node)
+    def reach(base: int, pairs) -> None:
+        for weight, node in pairs:
+            d = base + weight
+            if d < dist.get(node, d + 1):
+                dist[node] = d
+                if d not in buckets:
+                    heapq.heappush(pending, d)
+                    buckets[d] = []
+                buckets[d].append(node)
 
-    for d, node in starts:
-        reach(d, node)
+    reach(0, starts)
     while pending:
         d = heapq.heappop(pending)
         for node in buckets[d]:  # arcs of weight 0 append to this same list
             if dist[node] == d:  # else it was reached nearer and is done
                 yield d, node
-                for weight, nxt in arcs(node):
-                    reach(d + weight, nxt)
+                reach(d, arcs(node))
         del buckets[d]
 
 
-def _relation_texts(x: FiniteCode, bound: Optional[int]) -> list:
-    """(left parts, right parts, message) of every prime relation whose
-    message has at most ``bound`` letters; with no bound, of every
-    shortest one: the paths from the source to the empty residual.
-
-    A forward pass reads a residual's moves only while the fewest letters
-    that reach it are within the bound, which the first residual reached
-    that is a code word sets if none is given. A backward pass over what
-    was read gives the fewest letters a relation still adds, exact wherever
-    the two sum to at most the bound, since that whole path was read. The
-    walk is depth-first over (residual, behind, ahead, swapped, msg):
-    ``behind`` takes each word, ``swapped`` says it is the right side, a
-    longer word overtakes, and each side is a (word, rest) link; the left
-    side begins with the shorter first word. Moves ranked by the letters
-    they add are read up to the bound. With a bound, the states popped and
-    the parts listed count against the state cap: {a, ab, ba} has a
-    relation of every odd length, while the shortest are finitely many."""
-    capped = bound is not None
+def _read(x: FiniteCode, bound) -> tuple[list, dict, dict, Optional[int]]:
+    """Read x's dangling-suffix graph: return its source moves (x, y, r),
+    each residual read with its moves, each useful residual's fewest
+    letters to the end ("" first, then nearest first) and the bound used.
+    A forward pass reads a residual's moves while the fewest letters that
+    reach it are within the bound, which the first code word reached sets
+    if none is given; if none is, x is UD. A backward pass gives the
+    letters to the end over what was read, exact where the two sum to at
+    most the bound, as that whole path was read; ``math.inf`` reads all."""
     index = _CodeIndex(x)
     starts = index.starts()
     out: dict[str, list[tuple[str, str]]] = {}  # residual -> its moves, once read
@@ -402,12 +335,30 @@ def _relation_texts(x: FiniteCode, bound: Optional[int]) -> list:
         if bound is not None and d > bound:
             break
     if bound is None:
-        return []
+        return starts, out, {}, None
     into = defaultdict(list)  # residual -> (letters added, residual) of its read in-arcs
     for u, moves in out.items():
         for w, r in moves:
             into[r].append((len(w) - len(u) if len(w) > len(u) else 0, u))
-    to_end = {u: d for d, u in _nearest_first([(0, "")], into.__getitem__)}
+    return starts, out, {u: d for d, u in _nearest_first([(0, "")], into.__getitem__)}, bound
+
+
+def _relation_texts(x: FiniteCode, bound: Optional[int]) -> list:
+    """(left parts, right parts, message) of every prime relation whose
+    message has at most ``bound`` letters; with no bound, of every
+    shortest one: the paths from the source to the empty residual over
+    what :func:`_read` read, walked depth-first over (residual, behind,
+    ahead, swapped, msg): ``behind`` takes each word, ``swapped`` says it
+    is the right side, a longer word overtakes, and each side is a (word,
+    rest) link; the left side begins with the shorter first word. Moves
+    ranked by the letters they add are read up to the bound. With a bound,
+    the states popped and the parts listed count against the state cap:
+    {a, ab, ba} has a relation of every odd length, while the shortest are
+    finitely many."""
+    capped = bound is not None
+    starts, out, to_end, bound = _read(x, bound)
+    if bound is None:
+        return []
     far = bound + 1
     # each read residual's moves by the letters they still add: none into the
     # end, the rest past a trailing word, and the overhang too past an overtaking one
@@ -489,12 +440,39 @@ def enumerate_prime_relations(x: FiniteCode, max_message_len: int) -> list[Prime
     return _prime_relations(x, _relation_texts(x, max_message_len))
 
 
+def _read_all(x: FiniteCode) -> tuple[list[Word], dict[str, int], list, dict, dict[str, int]]:
+    """The words of x in shortlex order, their numbers by text, and all of
+    :func:`_read`, the useful residuals numbered in ``to_end`` order."""
+    words = x.sorted_words()
+    starts, out, to_end, _bound = _read(x, math.inf)
+    return words, {w.text: i for i, w in enumerate(words)}, starts, out, {u: k for k, u in enumerate(to_end)}
+
+
 def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:
     """Pairs of distinct code words appearing together in some prime
-    relation; exact, with no bound on the relation length."""
+    relation, exact with no length bound: a useful arc of one leaves a
+    residual reachable (reflexively) from the head of an arc of the other,
+    or they share a source arc."""
     _require_nonempty(x)
-    graph = _SuffixGraph(x)
-    return {(graph.words[i], graph.words[j]) for i, j in graph.cooccurring_pairs()}
+    words, number, starts, out, node = _read_all(x)
+    fwd: list[list[int]] = [[] for _ in node]
+    leaving: list[set[int]] = [set() for _ in node]  # residual -> words of its useful out-arcs
+    heads: list[list[int]] = [[] for _ in words]  # word -> heads of the useful arcs consuming it
+    pairs: set[tuple[int, int]] = set()
+    for i, j, k in [(number[a], number[b], node[r]) for a, b, r in starts if r in node]:
+        heads[i].append(k)
+        heads[j].append(k)
+        pairs.add((i, j))  # a proper prefix comes first in shortlex order
+    for u, k in node.items():
+        for w, r in out.get(u, ()):
+            if r in node:
+                fwd[k].append(node[r])
+                leaving[k].add(number[w])
+                heads[number[w]].append(node[r])
+    for i, dsts in enumerate(heads):
+        met = set().union(*(leaving[k] for k in _reachable(dsts, fwd)))
+        pairs.update((i, j) if i < j else (j, i) for j in met if j != i)
+    return {(words[i], words[j]) for i, j in pairs}
 
 
 def _components(x: FiniteCode, words: list[Word], links: list[list[int]]) -> Partition:
@@ -515,20 +493,27 @@ def _components(x: FiniteCode, words: list[Word], links: list[list[int]]) -> Par
 def characteristic_partition(x: FiniteCode) -> Partition:
     """The finest coding partition: words joined through the internal
     nodes of their useful dangling-suffix-graph arcs. Every useful arc lies
-    on a source-to-terminal path, so two words on arcs meeting at a node
-    share a prime relation, directly or through a word on an arc there;
+    on a path from the source to the end, so two words on arcs meeting at
+    a node share a prime relation, directly or through a word on an arc there;
     the classes are the components of :func:`cooccurrence_pairs`."""
     _require_nonempty(x)
-    graph = _SuffixGraph(x)
-    n = len(graph.words)
-    links: list[list[int]] = [[] for _ in range(n + graph.term)]  # node u is vertex n + u
-    for src, dst, ann in graph.arcs:
-        for node in (src, dst):
-            if node < graph.term:  # not the terminal, nor the source after it
-                for i in ann:
-                    links[i].append(n + node)
-                    links[n + node].append(i)
-    return _components(x, graph.words, links)
+    words, number, starts, out, node = _read_all(x)
+    n = len(words)
+    links: list[list[int]] = [[] for _ in range(n + len(node))]  # residual k is vertex n + k
+    for i, j, v in [(number[a], number[b], n + node[r]) for a, b, r in starts if r in node]:
+        links[v] += (i, j)
+        links[i].append(v)
+        links[j].append(v)
+    for u, k in node.items():
+        for w, r in out.get(u, ()):
+            if r in node:  # a useful arc: its word links to its residuals, not to the end
+                i = number[w]
+                links[i].append(n + k)
+                links[n + k].append(i)
+                if r:
+                    links[i].append(n + node[r])
+                    links[n + node[r]].append(i)
+    return _components(x, words, links)
 
 
 def canonical_partition(x: FiniteCode) -> tuple[frozenset[Word], list[frozenset[Word]]]:

@@ -146,23 +146,21 @@ def word_fsa(word: Word) -> Fsa:
 
 def word_set_fsa(alphabet: Alphabet, words: Iterable[Word]) -> Fsa:
     """Trie acceptor for a finite set of words (deterministic)."""
-    next_state = {(): 0}
+    child: dict[tuple[int, str], int] = {}  # (state, symbol) -> the state it moves to
     trans = []
     accepting = set()
-    n = 1
     for w in sorted(set(words)):
         if w.alphabet != alphabet:
             raise AlphabetMismatchError(f"word {w!r} is not over alphabet {alphabet}")
-        node = ()
+        node = 0
         for c in w.text:
-            child = node + (c,)
-            if child not in next_state:
-                next_state[child] = n
-                trans.append((next_state[node], c, n))
-                n += 1
-            node = child
-        accepting.add(next_state[node])
-    return Fsa(alphabet, n, trans, (0,), accepting)
+            nxt = child.get((node, c))
+            if nxt is None:
+                nxt = child[(node, c)] = len(trans) + 1
+                trans.append((node, c, nxt))
+            node = nxt
+        accepting.add(node)
+    return Fsa(alphabet, len(trans) + 1, trans, (0,), accepting)
 
 
 def full_language_fsa(alphabet: Alphabet) -> Fsa:

@@ -12,25 +12,28 @@ message with two (block) factorizations.
 
 The brute-force oracle and relation search share no code with the
 exact analyses in ``partfact.finite_code``, so the tests can use them as
-independent ground truth. The whole-graph search builds the library's
-dangling-suffix graph and every node's distance to the terminal before
-it lists a relation: the reference for the library's search, which
-reads only the residuals within the length bound. The Word-keyed
-partitions build the whole graph too, find its useful arcs by
-reachability from both ends, and link Word objects: the reference for
-the library, which numbers the words once and links the numbers.
+independent ground truth. The whole-graph search, the co-occurrence
+audit bound and the Word-keyed partitions share the oracles' own
+dangling-suffix graph: every arc is built breadth first, labelled with
+the texts it consumes, and kept when it lies between the source and the
+terminal, found by reachability from both ends; each node's residual
+text comes with it. The search finds every node's distance to the
+terminal before it lists a relation: the reference for the library's
+reader, which reads only the residuals within the length bound. The
+partitions link Word objects: the reference for the library, which
+numbers the words and the useful residuals and links the numbers.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from itertools import chain, product
+from itertools import chain, count, product
 from typing import Optional, Sequence
 
 from partfact import FiniteCode, Partition, PreconditionError, RegularMonoid, Word
 from partfact import fsa as A
-from partfact.finite_code import PrimeRelation, _CodeIndex, _prime_relations, _SuffixGraph
+from partfact.finite_code import PrimeRelation, _CodeIndex, _prime_relations
 from partfact.fsa import (
     Fsa,
     _check_cap,
@@ -488,37 +491,38 @@ def least_two_factorizations(
     return None
 
 
-def _arc_weight(graph: _SuffixGraph, src: int, ann: tuple[int, ...]) -> int:
+def _arc_weight(residual: list[str], src, ann: tuple[str, ...]) -> int:
     # Contribution of the arc to the message length: initial arcs start
     # the message with the longer word; an arc where the trailing parse
     # overtakes extends the message by the overhang.
-    if src == graph.source:
-        return max(len(graph.words[i]) for i in ann)
-    return max(0, len(graph.words[ann[0]]) - len(graph.residual[src]))
+    if src == "start":
+        return max(len(t) for t in ann)
+    return max(0, len(ann[0]) - len(residual[src]))
 
 
-def _to_end(graph: _SuffixGraph) -> dict[int, int]:
+def _to_end(arcs: list, residual: list[str]) -> dict:
     """The fewest letters a relation still adds from each useful node to
     the terminal: one backward Dijkstra over the useful arcs. The value at
     the source is the shortest relation message length."""
     into = defaultdict(list)
-    for src, dst, ann in graph.arcs:
-        into[dst].append((src, _arc_weight(graph, src, ann)))
-    dist = {graph.term: 0}
-    heap = [(0, graph.term)]
+    for src, dst, ann in arcs:
+        into[dst].append((src, _arc_weight(residual, src, ann)))
+    dist = {"end": 0}
+    tie = count()  # the nodes are ints and two names, which do not compare
+    heap = [(0, next(tie), "end")]
     while heap:
-        d, node = heapq.heappop(heap)
+        d, _, node = heapq.heappop(heap)
         if d > dist[node]:
             continue
         for src, weight in into[node]:
             nd = d + weight
             if src not in dist or nd < dist[src]:
                 dist[src] = nd
-                heapq.heappush(heap, (nd, src))
+                heapq.heappush(heap, (nd, next(tie), src))
     return dist
 
 
-def _graph_relation_texts(graph: _SuffixGraph, to_end: dict[int, int], max_message_len: int) -> list:
+def _graph_relation_texts(arcs: list, residual: list[str], to_end: dict, max_message_len: int) -> list:
     """(left parts, right parts, message) of every prime relation whose
     message has at most max_message_len letters: depth-first along the
     useful arcs from the source over the states (node, behind, ahead,
@@ -527,16 +531,15 @@ def _graph_relation_texts(graph: _SuffixGraph, to_end: dict[int, int], max_messa
     dropped once the letters it must still add take the message past the
     bound."""
     out = defaultdict(list)
-    for src, dst, ann in graph.arcs:
-        out[src].append((dst, tuple(graph.words[i].text for i in ann)))
-    residual = graph.residual
+    for src, dst, ann in arcs:
+        out[src].append((dst, ann))
     found = []
-    stack = [(dst, (x,), (y,), False, y) for dst, (x, y) in out[graph.source]
+    stack = [(dst, (x,), (y,), False, y) for dst, (x, y) in out["start"]
              if len(y) + to_end[dst] <= max_message_len]
     while stack:
         node, behind, ahead, swapped, msg = stack.pop()
         for dst, (w,) in out[node]:
-            if dst == graph.term:
+            if dst == "end":
                 found.append((ahead, behind + (w,), msg) if swapped else (behind + (w,), ahead, msg))
             elif len(w) < len(residual[node]):
                 if len(msg) + to_end[dst] <= max_message_len:
@@ -551,18 +554,18 @@ def graph_sp_is_ud(x: FiniteCode) -> tuple[bool, Optional[PrimeRelation]]:
     the graph, its useful arcs and every node's distance to the terminal
     are built first, and the relations are listed within the source's
     distance, the shortest relation length."""
-    graph = _SuffixGraph(x)
-    to_end = _to_end(graph)
-    if graph.source not in to_end:  # no source-to-terminal path
+    arcs, residual = _useful_text_arcs(x)
+    to_end = _to_end(arcs, residual)
+    if "start" not in to_end:  # no source-to-terminal path
         return True, None
-    return False, _prime_relations(x, _graph_relation_texts(graph, to_end, to_end[graph.source]))[0]
+    return False, _prime_relations(x, _graph_relation_texts(arcs, residual, to_end, to_end["start"]))[0]
 
 
 def graph_prime_relations(x: FiniteCode, max_message_len: int) -> list[PrimeRelation]:
     """``enumerate_prime_relations`` by the search over the whole
     dangling-suffix graph, with no cap on the walk."""
-    graph = _SuffixGraph(x)
-    return _prime_relations(x, _graph_relation_texts(graph, _to_end(graph), max_message_len))
+    arcs, residual = _useful_text_arcs(x)
+    return _prime_relations(x, _graph_relation_texts(arcs, residual, _to_end(arcs, residual), max_message_len))
 
 
 def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]:
@@ -572,37 +575,38 @@ def cooccurrence_witness_bound(x: FiniteCode, u: Word, v: Word) -> Optional[int]
     if not x.words:
         raise PreconditionError("analysis of the empty code is undefined")
     # Dijkstra over (node, set of the two words consumed so far)
-    graph = _SuffixGraph(x)
-    targets = (graph.words.index(u), graph.words.index(v))
+    arcs, residual = _useful_text_arcs(x)
+    targets = (u.text, v.text)
     full = (1 << len(targets)) - 1
     out = defaultdict(list)
-    for src, dst, ann in graph.arcs:
+    for src, dst, ann in arcs:
         bits = sum(1 << i for i, t in enumerate(targets) if t in ann)
         out[src].append((dst, ann, bits))
-    dist = {(graph.source, 0): 0}
-    heap = [(0, graph.source, 0)]
+    dist = {("start", 0): 0}
+    tie = count()
+    heap = [(0, next(tie), "start", 0)]
     while heap:
-        d, node, mask = heapq.heappop(heap)
+        d, _, node, mask = heapq.heappop(heap)
         if dist[(node, mask)] != d:
             continue
-        if node == graph.term:
+        if node == "end":
             if mask == full:
                 return d
             continue
         for dst, ann, bits in out[node]:
-            nd = d + _arc_weight(graph, node, ann)
+            nd = d + _arc_weight(residual, node, ann)
             nm = mask | bits
             if nd < dist.get((dst, nm), float("inf")):
                 dist[(dst, nm)] = nd
-                heapq.heappush(heap, (nd, dst, nm))
+                heapq.heappush(heap, (nd, next(tie), dst, nm))
     return None
 
 
-def _useful_text_arcs(x: FiniteCode) -> list:
+def _useful_text_arcs(x: FiniteCode) -> tuple[list, list[str]]:
     """The useful arcs (src, dst, texts consumed) of the whole
-    dangling-suffix graph, with the source "start" and the terminal "end":
-    every arc is built, then the nodes reachable from the source that reach
-    the terminal are kept."""
+    dangling-suffix graph, with the source "start" and the terminal "end",
+    and the residual text of each node: every arc is built, then the nodes
+    reachable from the source that reach the terminal are kept."""
     index = _CodeIndex(x)
     node_ids: dict[str, int] = {}
     residual: list[str] = []
@@ -620,7 +624,7 @@ def _useful_text_arcs(x: FiniteCode) -> list:
             arcs.append((uid, intern(r) if r else "end", (w,)))
         uid += 1
     useful = _useful(("start",), ("end",), ((src, dst) for src, dst, _ann in arcs))
-    return [a for a in arcs if a[0] in useful and a[1] in useful]
+    return [a for a in arcs if a[0] in useful and a[1] in useful], residual
 
 
 def _components(x: FiniteCode, links) -> Partition:
@@ -644,7 +648,7 @@ def characteristic_partition(x: FiniteCode) -> Partition:
         raise PreconditionError("analysis of the empty code is undefined")
     code_word = {w.text: w for w in x.words}
     links = defaultdict(list)
-    for src, dst, ann in _useful_text_arcs(x):
+    for src, dst, ann in _useful_text_arcs(x)[0]:
         for node in (src, dst):
             if node not in ("start", "end"):
                 for t in ann:
@@ -683,7 +687,7 @@ def cooccurrence_pairs(x: FiniteCode) -> set[tuple[Word, Word]]:
     heads = defaultdict(list)
     leaving = defaultdict(set)
     pairs = set()
-    for src, dst, ann in _useful_text_arcs(x):
+    for src, dst, ann in _useful_text_arcs(x)[0]:
         fwd[src].append(dst)
         leaving[src].update(ann)
         for t in ann:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,16 @@ def test_full_accepts_monoid_input(tmp_path):
     assert run_json(["full"], doc, tmp_path)["verdict"] is True
 
 
+def test_monoid_input_that_is_not_closed_exits_4(tmp_path):
+    # the empty word is in the language, so it is read as a monoid, and
+    # aa·aa is not in it; the library's check gives the message
+    doc = {"alphabet": ["a", "b"], "kind": "regex", "regex": "_|a|aa|aaa"}
+    for command in ("base", "full", "decompose"):
+        code, _out, err = run_cli([command], files=[doc], tmp_path=tmp_path)
+        assert code == 4, err
+        assert err.endswith(": language is not closed under concatenation\n"), err
+
+
 def test_maximal_on_dense_code_exits_4(tmp_path):
     doc = {"alphabet": ["a", "b"], "kind": "regex", "regex": "(a|b)(a|b)*(a|b)|b"}
     code, _out, err = run_cli(["maximal"], files=[doc], tmp_path=tmp_path)
@@ -364,6 +375,40 @@ def test_base_past_the_forward_sides_cap_exits_0(tmp_path):
     doc = {"alphabet": ["a", "b"], "kind": "regex", "regex": "(a|b)*a" + "(a|b)" * 13}
     code, out, err = run_cli(["base", "--quiet"], files=[doc], tmp_path=tmp_path)
     assert (code, out, err) == (0, "", "")
+
+
+def test_long_word_trie_and_ud(tmp_path):
+    # the trie keys each child by (state, symbol), so one long word costs
+    # linear time; 100 001 states need a raised cap
+    ab = Alphabet("ab")
+    word = ab.word("ab" * 50_000)
+    old = A.state_cap()
+    try:
+        A.set_state_cap(200_000)
+        trie, chain = A.word_set_fsa(ab, [word]), A.word_fsa(word)
+    finally:
+        A.set_state_cap(old)
+    fields = ("alphabet", "n_states", "transitions", "initial", "accepting")
+    assert [getattr(trie, f) for f in fields] == [getattr(chain, f) for f in fields]
+    # ud builds no trie, so the default cap does not stop it
+    started = time.perf_counter()
+    report = run_json(["ud"], {"alphabet": ["a", "b"], "kind": "finite", "code": [word.text]}, tmp_path)
+    assert report["verdict"] is True
+    assert time.perf_counter() - started < 10
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # a reader that stops after one line of a batch whose reports overflow
+    # the pipe buffer (64 KiB on Linux)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"alphabet": ["0", "1"], "kind": "finite", "code": ["0", "01", "11"]}))
+    with open(tmp_path / "err.txt", "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "partfact", "ud", "--format", "json", *[str(doc)] * 2000],
+                                stdout=subprocess.PIPE, stderr=err)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+    assert (tmp_path / "err.txt").read_text() == ""
 
 
 def test_internal_error_exits_5_and_batch_continues(tmp_path, monkeypatch, capsys):

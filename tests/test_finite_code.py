@@ -272,7 +272,10 @@ def test_relation_search_matches_the_whole_graph_search(monkeypatch):
 
 
 def test_relation_search_reads_only_within_the_bound(monkeypatch):
-    # the graph reads all 3826 residuals; the searches read 6 and 97
+    # the partition reads each of the 3826 residuals once; the searches
+    # read 6 and 97
+    code = FiniteCode(ZO, _dense_code(random.Random(1600), 1600)[0])
+    _arcs, whole = oracles._useful_text_arcs(code)
     reads = []
     comparable = F._CodeIndex.comparable
 
@@ -281,9 +284,8 @@ def test_relation_search_reads_only_within_the_bound(monkeypatch):
         return comparable(index, u)
 
     monkeypatch.setattr(F._CodeIndex, "comparable", counted)
-    code = FiniteCode(ZO, _dense_code(random.Random(1600), 1600)[0])
-    whole = len(F._SuffixGraph(code).residual)
-    assert len(reads) == whole > 3000
+    characteristic_partition(code)
+    assert sorted(reads) == sorted(whole) and len(whole) > 3000
     reads.clear()
     assert not sp_is_ud(code)[0]
     assert len(reads) <= 50
@@ -481,8 +483,8 @@ def test_characteristic_classes_are_cooccurrence_components():
 
 
 def test_numbered_analyses_match_the_word_keyed_oracles(monkeypatch):
-    # the library numbers the words once and keeps only the arcs that reach
-    # the terminal; the oracles build the whole graph and link Word objects
+    # the library numbers the words and the useful residuals; the oracles
+    # build the whole graph and link Word objects
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
@@ -493,6 +495,8 @@ def test_numbered_analyses_match_the_word_keyed_oracles(monkeypatch):
         codes.append(FiniteCode(ZO, workloads._dense_code(random.Random(n), n)[0]))
         letters, words, _ta, _squares = workloads._structured_code(random.Random(n), n)
         codes.append(FiniteCode(Alphabet("".join(letters)), words))
+    # words are numbered in shortlex order, residuals sorted by code point
+    codes += [FiniteCode(Alphabet("cba"), code.texts()) for code in codes[:300]]
     merged = 0
     for code in codes:
         fine = oracles.characteristic_partition(code)
