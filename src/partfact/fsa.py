@@ -5,9 +5,10 @@ transitions, and are immutable once built: every operation allocates a
 fresh result, so concurrent use is safe.
 
 The subset and product constructions read a view of each operand on its
-own state numbers and build no spontaneous-move-free acceptor (that is
-:func:`eliminate_epsilon`, the view renumbered); they number each subset,
-an int, when first reached and step it on each symbol once.
+own state numbers, built in one pass, and build no spontaneous-move-free
+acceptor (that is :func:`eliminate_epsilon`, the view renumbered); acceptors
+side by side are read on their views offset, with no union built. They
+number each subset, an int, when first reached and step it on each symbol once.
 ``difference`` and the comparisons (``includes``, ``is_universal``,
 ``shortest_word``) are one breadth-first walk of (state, subset) pairs
 with a parent link per pair, ``equivalent`` a Hopcroft-Karp walk of
@@ -22,9 +23,8 @@ the DFA of a difference, ``includes``, ``equivalent``, ``shortest_word``,
 and ``factorizations`` for the pair walk of ``regular``).
 
 ``concat`` and ``union`` build the binary left fold of any number of
-operands in one pass; :func:`regex_to_fsa` folds each group this way, so
-a word of n letters compiles in time linear in n, not quadratic.
-"""
+operands in one pass, as :func:`regex_to_fsa` folds each group: a word
+of n letters compiles in linear time."""
 
 from __future__ import annotations
 
@@ -222,43 +222,74 @@ def _spell(links, node) -> str:
     return "".join(reversed(labels))
 
 
-def _useful(initial: Iterable, final: Iterable, arcs: Iterable) -> set:
-    """The nodes reachable from ``initial`` that reach ``final`` along the
-    ``(p, q)`` arcs."""
-    fwd = defaultdict(list)
-    bwd = defaultdict(list)
-    for p, q in arcs:
-        fwd[p].append(q)
-        bwd[q].append(p)
-    return _reachable(initial, fwd) & _reachable(final, bwd)
-
-
 class _View:
     """The spontaneous-move-free view of an acceptor on its own state
     numbers: ``states``, ``initial`` and ``accepting`` hold the useful
     positions, and ``rows[c][p]`` lists in ascending order, once each, the
-    useful positions that ``p``'s closure reaches by a move on ``c``."""
+    useful positions that ``p``'s closure reaches by a move on ``c``. A
+    walk from the initial states closes each position and records its
+    predecessors; a walk back from those that accept keeps the useful ones."""
 
     __slots__ = ("states", "initial", "accepting", "rows")
 
     def __init__(self, f: Fsa):
-        adj = f.adjacency()
-        eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
-        moves, ends = {}, []
-        for p in f.initial.union(q for _p, a, q in f.transitions if a is not None):
-            closure = _reachable((p,), eps) if eps[p] else (p,)
-            moves[p] = {(a, q) for s in closure for a, q in adj[s] if a is not None}
+        eps, out = [[] for _ in range(f.n_states)], [[] for _ in range(f.n_states)]  # spontaneous, symbol moves
+        for p, a, q in f.transitions:
+            (out if a is not None else eps)[p].append((a, q))
+        moves, ends, todo = {}, [], list(f.initial)  # moves: position -> the moves of its closure
+        preds = [[] for _ in range(f.n_states)]
+        for p in todo:  # grows as it goes
+            if p in moves:
+                continue
+            moves[p] = mine = []
+            closure, stack = {p}, [p]
+            while stack:
+                s = stack.pop()
+                mine += out[s]
+                for _none, t in eps[s]:
+                    if t not in closure:
+                        closure.add(t)
+                        stack.append(t)
             if not f.accepting.isdisjoint(closure):
                 ends.append(p)
-        useful = _useful(f.initial, ends, ((p, q) for p, out in moves.items() for _a, q in out))
+            for _a, q in mine:
+                preds[q].append(p)
+                if q not in moves:
+                    todo.append(q)
+        useful = _reachable(ends, preds)
         self.states = sorted(useful)
         self.initial = [s for s in f.initial if s in useful]
-        self.accepting = useful.intersection(ends)
-        self.rows = {c: [[] for _ in range(f.n_states)] for c in f.alphabet.symbols}
+        self.accepting = set(ends)
+        self.rows = rows = {c: [[] for _ in range(f.n_states)] for c in f.alphabet.symbols}
         for p in self.states:
-            for a, q in sorted(moves[p]):
+            mine = moves[p]
+            for a, q in sorted(set(mine)) if len(mine) > 1 else mine:
                 if q in useful:
-                    self.rows[a][p].append(q)
+                    rows[a][p].append(q)
+
+
+def _beside(alphabet: Alphabet, parts) -> _View:
+    """The view of the :func:`union` of acceptors side by side, from an
+    ``(n_states, part)`` per acceptor: its view, or the :class:`Fsa`
+    arguments of its sink-free subset construction, all of whose states
+    are useful."""
+    v = _View.__new__(_View)
+    v.states, v.initial, v.accepting = [], [], set()
+    v.rows = rows = {c: [[] for _ in range(sum(n for n, _part in parts))] for c in alphabet.symbols}
+    n = 0
+    for size, part in parts:
+        if isinstance(part, _View):
+            states, initial, accepting = part.states, part.initial, part.accepting
+            moves = ((p, c, q) for c, row in part.rows.items() for p in states for q in row[p])
+        else:
+            states, (_alphabet, _n, moves, initial, accepting) = range(size), part
+        v.states += [p + n for p in states]
+        v.initial += [p + n for p in initial]
+        v.accepting.update(p + n for p in accepting)
+        for p, c, q in moves:
+            rows[c][p + n].append(q + n)
+        n += size
+    return v
 
 
 def _meets(subset: int, mask: int) -> bool:
@@ -439,7 +470,11 @@ def trim(f: Fsa) -> Fsa:
     Preserves parallel duplicate transitions, so run multiplicities of
     the kept states are untouched.
     """
-    useful = _useful(f.initial, f.accepting, ((p, q) for p, _a, q in f.transitions))
+    succ, pred = [[] for _ in range(f.n_states)], [[] for _ in range(f.n_states)]
+    for p, _a, q in f.transitions:
+        succ[p].append(q)
+        pred[q].append(p)
+    useful = _reachable(f.initial, succ) & _reachable(f.accepting, pred)
     order = sorted(useful)
     index = {s: i for i, s in enumerate(order)}
     trans = [(index[p], a, index[q]) for p, a, q in f.transitions if p in useful and q in useful]
@@ -648,11 +683,16 @@ def includes(l: Fsa, r: Fsa) -> bool:
 
 
 def equivalent(l: Fsa, r: Fsa) -> bool:
+    """True iff ``l`` and ``r`` accept the same words."""
+    _require_same_alphabet(l.alphabet, r.alphabet)
+    return _same_words(_View(l), _View(r))
+
+
+def _same_words(l: _View, r: _View) -> bool:
     """Hopcroft and Karp's breadth-first walk of (subset of ``l``, subset of
     ``r``) pairs, skipping pairs already merged by union-find, to the first
     pair where only one side accepts; the cap counts each side's subsets."""
-    _require_same_alphabet(l.alphabet, r.alphabet)
-    a, b = _Subsets(_View(l), collapse=True), _Subsets(_View(r), collapse=True)
+    a, b = _Subsets(l, collapse=True), _Subsets(r, collapse=True)
     parent: dict = {}  # l's subset i is node i, r's subset j node ~j; roots have no entry
 
     def find(x: int) -> int:
@@ -671,7 +711,7 @@ def equivalent(l: Fsa, r: Fsa) -> bool:
         x, y = find(i), find(~j)
         if x != y:
             parent[x] = y
-            if any(reach(a.step(i, c), b.step(j, c)) for c in l.alphabet.symbols):
+            if any(reach(a.step(i, c), b.step(j, c)) for c in l.rows):
                 return False
             _check_cap(max(len(a.sets), len(b.sets)) - 1, "equivalent")
     return True

@@ -103,7 +103,8 @@ class RegularPartition(_Frozen):
             for j, b in enumerate(views[i + 1:], i + 1):  # the walk stops at the first word both accept
                 if any(p in a.accepting and q in b.accepting for p, q, _i, _c in A._product(a, b, "intersection")):
                     raise PreconditionError(f"classes {i} and {j} overlap")
-        if not A.equivalent(A.union(*classes), code.lang):
+        side_by_side = A._beside(code.alphabet, [(c.n_states, v) for c, v in zip(classes, views)])
+        if not A._same_words(side_by_side, A._View(code.lang)):
             raise PreconditionError("classes do not cover the code exactly")
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "classes", classes)
@@ -239,11 +240,11 @@ def _two_factorizations(classes: Sequence[Fsa], by_word: bool) -> Optional[Word]
     class is read on its subset construction unless that has more states
     than the class, so a many-word alternation keeps one state a side."""
     dfas = [A._subset_dfa(c, limit=min(c.n_states, A.state_cap())) for c in classes]
-    classes = [c if d is None else Fsa(*d) for c, d in zip(classes, dfas)]
-    v = A._View(A.union(*classes))
+    parts = [(c.n_states, A._View(c)) if d is None else (d[1], d) for c, d in zip(classes, dfas)]
+    v = A._beside(classes[0].alphabet, parts)
     start = v.states[-1] + 1  # a position that reads only first letters
     width = start + 1
-    owner = [i for i, c in enumerate(classes) for _ in range(c.n_states)]
+    owner = [i for i, (n, _part) in enumerate(parts) for _ in range(n)]
     accepting = [p in v.accepting for p in range(width)]
     moves = {}  # symbol -> position -> [(target, tag)]: the sides diverge where their tags differ
     for c, row in v.rows.items():

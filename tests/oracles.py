@@ -1,14 +1,16 @@
 """Test-only helpers: a bounded brute-force oracle and relation search
 for finite codes, a bounded word enumerator for acceptors, reference
-automaton constructions (spontaneous-move elimination to an acceptor,
-subset construction and product walks over it, Moore's minimization),
-the base of a regular monoid by two differences, the prime-relation
-search over the whole dangling-suffix graph, the finest coding partition,
-the lattice operations and co-occurrence over Word objects, an audit
-bound for the co-occurrence analysis, the run-counting ambiguity search
-of an acceptor and its parsers for unique decipherability and coding
-partitions of regular codes, and a brute-force search for the least
-message with two (block) factorizations.
+automaton constructions (the view of an acceptor built per position,
+spontaneous-move elimination to an acceptor, subset construction and
+product walks over it, Moore's minimization), the checks of a regular
+partition on acceptors, the base of a regular monoid by two
+differences, the prime-relation search over the whole dangling-suffix
+graph, the finest coding partition, the lattice operations and
+co-occurrence over Word objects, an audit bound for the co-occurrence
+analysis, the run-counting ambiguity search of an acceptor and its
+parsers for unique decipherability and coding partitions of regular
+codes, and a brute-force search for the least message with two (block)
+factorizations.
 
 The brute-force oracle and relation search share no code with the
 exact analyses in ``partfact.finite_code``, so the tests can use them as
@@ -28,10 +30,10 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from itertools import chain, count, product
+from itertools import chain, combinations, count, product
 from typing import Optional, Sequence
 
-from partfact import FiniteCode, Partition, PreconditionError, RegularMonoid, Word
+from partfact import AlphabetMismatchError, FiniteCode, Partition, PreconditionError, RegularMonoid, Word
 from partfact import fsa as A
 from partfact.finite_code import PrimeRelation, _CodeIndex, _prime_relations
 from partfact.fsa import (
@@ -40,7 +42,6 @@ from partfact.fsa import (
     _reachable,
     _require_same_alphabet,
     _spell,
-    _useful,
     empty_fsa,
     factor_closure,
     full_language_fsa,
@@ -78,6 +79,41 @@ def enumerate_words(f: Fsa, max_len: int) -> list[Word]:
 # acceptor first and runs the subset construction and the product walks
 # over it, recomputing every subset step; the references for the view,
 # the numbered subsets and the parent-linked walk of ``partfact.fsa``.
+
+
+def _useful(initial, final, arcs) -> set:
+    """The nodes reachable from ``initial`` that reach ``final`` along the
+    ``(p, q)`` arcs."""
+    fwd = defaultdict(list)
+    bwd = defaultdict(list)
+    for p, q in arcs:
+        fwd[p].append(q)
+        bwd[q].append(p)
+    return _reachable(initial, fwd) & _reachable(final, bwd)
+
+
+def view(f: Fsa) -> tuple[list[int], list[int], set[int], dict[str, list[list[int]]]]:
+    """The fields ``states``, ``initial``, ``accepting`` and ``rows`` of
+    ``partfact.fsa._View``, built per position: a closure of each
+    position (an initial state or a symbol target), its set of moves, and
+    the useful positions from a forward and a backward reachability over
+    every position's moves. The reference for the one-pass view."""
+    adj = f.adjacency()
+    eps = [[q for a, q in adj[p] if a is None] for p in range(f.n_states)]
+    moves, ends = {}, []
+    for p in f.initial.union(q for _p, a, q in f.transitions if a is not None):
+        closure = _reachable((p,), eps) if eps[p] else (p,)
+        moves[p] = {(a, q) for s in closure for a, q in adj[s] if a is not None}
+        if not f.accepting.isdisjoint(closure):
+            ends.append(p)
+    useful = _useful(f.initial, ends, ((p, q) for p, out in moves.items() for _a, q in out))
+    states = sorted(useful)
+    rows = {c: [[] for _ in range(f.n_states)] for c in f.alphabet.symbols}
+    for p in states:
+        for a, q in sorted(moves[p]):
+            if q in useful:
+                rows[a][p].append(q)
+    return states, [s for s in f.initial if s in useful], useful.intersection(ends), rows
 
 
 def eliminate_epsilon(f: Fsa) -> Fsa:
@@ -193,6 +229,28 @@ def includes(l: Fsa, r: Fsa) -> bool:
 
 def equivalent(l: Fsa, r: Fsa) -> bool:
     return includes(l, r) and includes(r, l)
+
+
+def check_regular_partition(code, classes: Sequence[Fsa]) -> None:
+    """The checks of ``partfact.RegularPartition`` made on acceptors: each
+    class over the code's alphabet, nonempty and without the empty word,
+    an intersection per pair of classes, then the union acceptor of the
+    classes against the code. Raises the error ``RegularPartition``
+    raises: the reference for its checks on views laid side by side."""
+    if not classes:
+        raise PreconditionError("a partition needs at least one class")
+    for c in classes:
+        if c.alphabet != code.alphabet:
+            raise AlphabetMismatchError("class alphabet differs from the code's")
+        if trim(c).n_states == 0:
+            raise PreconditionError("partition classes must be nonempty")
+        if A.accepts(c, ""):
+            raise PreconditionError("partition classes may not contain the empty word")
+    for i, j in combinations(range(len(classes)), 2):
+        if intersection(classes[i], classes[j]).n_states:
+            raise PreconditionError(f"classes {i} and {j} overlap")
+    if not equivalent(A.union(*classes), code.lang):
+        raise PreconditionError("classes do not cover the code exactly")
 
 
 def shortest_word(f: Fsa) -> Optional[Word]:

@@ -515,6 +515,25 @@ def test_constructions_match_reference_oracles():
     assert min(counts.values()) > 0, counts
 
 
+def test_view_matches_the_per_position_reference():
+    # the one-pass view against closures and reachability per position:
+    # spontaneous cycles and self-loops, unreachable and dead states,
+    # repeated transitions, the empty acceptor, nested stars and long words
+    rng = random.Random(59)
+    inputs = [A.empty_fsa(AB), Fsa(AB, 3, [(0, "a", 1)], (), (1,)), Fsa(AB, 2, [(0, "a", 1)], (0,), ()),
+              Fsa(AB, 3, [(0, None, 0), (0, "a", 0), (0, None, 1), (1, None, 0), (1, "b", 2), (1, "b", 2)], (0,), (2,))]
+    for alphabet in (AB, Alphabet("abc")):
+        inputs += [_random_enfa(rng, alphabet) for _ in range(1500)]
+    inputs += [rx(dialect_text(random_regex(rng, 4), rng)) for _ in range(500)]
+    inputs += [rx("(" * 50 + "a" + ")*b" * 50), rx("(" * 50 + "ab" + ")*a" * 50), rx("((a|b)*a)*" * 50)]
+    for n in (25, 100, 400):
+        word = "".join(rng.choice("ab") for _ in range(n))
+        inputs += [rx(word), rx(f"b|ab|ba|{word}"), A.star(rx(f"a|{word}"))]
+    for f in inputs:
+        v = A._View(f)
+        assert (v.states, v.initial, v.accepting, v.rows) == oracles.view(f), f
+
+
 def _larger_enfa(rng, alphabet):
     """A random acceptor of 20-80 states with spontaneous moves."""
     n = rng.randint(20, 80)

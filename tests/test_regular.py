@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -9,6 +10,7 @@ import oracles
 from conftest import dialect_text, language_set, random_finite_code, random_regex
 from partfact import (
     Alphabet,
+    AlphabetMismatchError,
     FiniteCode,
     Partition,
     PreconditionError,
@@ -119,6 +121,68 @@ def test_regular_partition_validation():
             overlaps.append(True)
         assert overlaps[-1] == (not A.is_empty(A.intersection(*classes)))
     assert 20 < sum(overlaps) < 180
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (PreconditionError, AlphabetMismatchError) as e:
+        return type(e), str(e)
+    return None
+
+
+# each splits a code in two by intersection: first letter, parity of the length, last letter
+_SPLITS = [[A.regex_to_fsa(rx, AB) for rx in pair] for pair in (
+    ("a(a|b)*", "b(a|b)*"), ("((a|b)(a|b))*", "(a|b)((a|b)(a|b))*"), ("(a|b)*a", "(a|b)*b"))]
+
+
+def _random_classes(rng, code):
+    """Classes of a random code: the cells of one or two splits, then
+    maybe an overlapping class, a gap, a star class, a word outside the
+    code, an empty class or one over another alphabet; shuffled."""
+    cells = [code.lang]
+    for split in rng.sample(_SPLITS, rng.randint(1, 2)):
+        cells = [A.intersection(c, s) for c in cells for s in split]
+    classes = [c for c in cells if not A.is_empty(c)]
+    i = rng.randrange(len(classes))
+    change = rng.choice(("none", "none", "overlap", "gap", "star", "outside", "empty", "alphabet"))
+    if change == "overlap":
+        classes.append(A.intersection(code.lang, A.regex_to_fsa(dialect_text(random_regex(rng, 3), rng), AB)))
+    elif change == "gap" and len(classes) > 1:
+        del classes[i]
+    elif change == "star":
+        classes.append(A.regex_to_fsa(rng.choice(("(ab)+", "a(ba)*", "b+a", "(a|bb)(a|bb)*", "(ab)*")), AB))
+    elif change == "outside":
+        word = "".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+        classes[i] = A.union(classes[i], A.word_fsa(AB.word(word)))
+    elif change == "empty":
+        classes[i] = A.difference(classes[i], classes[i])
+    elif change == "alphabet":
+        classes[i] = A.regex_to_fsa("a", Alphabet("abc"))
+    rng.shuffle(classes)
+    return classes
+
+
+def test_regular_partition_checks_match_the_acceptor_checks():
+    # the cover check on the class views laid side by side, against the
+    # union acceptor compared with the code: the same error and message,
+    # naming the same pair of classes, on 2000 seeded partitions
+    rng = random.Random(61)
+    seen = collections.Counter()
+    cases = 0
+    while cases < 2000:
+        lang = A.difference(A.regex_to_fsa(dialect_text(random_regex(rng, 3), rng), AB), A.epsilon_fsa(AB))
+        if A.is_empty(lang):
+            continue
+        code = RegularCode(lang)
+        classes = _random_classes(rng, code)
+        got = _outcome(RegularPartition, code, classes)
+        assert got == _outcome(oracles.check_regular_partition, code, classes), (code, classes)
+        seen[got and got[1].split()[-1]] += 1
+        cases += 1
+    # every outcome occurs: a partition, an overlap, no exact cover, an
+    # empty class, one with the empty word, another alphabet
+    assert min(seen[k] for k in (None, "overlap", "exactly", "nonempty", "word", "code's")) > 20, seen
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +527,18 @@ def _check_pair_walk(partition, ud, coding):
             assert least == witness.text, (texts, by_word)
 
 
-@pytest.mark.parametrize("on_positions", [False, True])
+@pytest.mark.parametrize("on_positions", [False, True, "every other class"])
 def test_pair_walk_matches_the_oracles_with_least_witnesses(monkeypatch, on_positions):
-    if on_positions:  # every class read on its own positions, as where its subset construction is too big
-        subset_dfa = A._subset_dfa
-        monkeypatch.setattr(A, "_subset_dfa", lambda l, r=None, limit=None: None if limit else subset_dfa(l, r))
+    # on positions, a class is read on its own view, as where its subset
+    # construction is too big; every other class mixes both kinds of part
+    # side by side in one walk, so their offsets and owners must agree
+    if on_positions:
+        subset_dfa, turns = A._subset_dfa, itertools.cycle((True, on_positions is True))
+
+        def on_view(l, r=None, limit=None):
+            return None if limit and next(turns) else subset_dfa(l, r, limit)
+
+        monkeypatch.setattr(A, "_subset_dfa", on_view)
     rng = random.Random(5772)
     for i in range(300):  # finite codes and two-class partitions, as tries and as regexes
         fc = random_finite_code(rng, max_words=5, max_len=3)
@@ -520,6 +591,39 @@ def test_pair_walk_reads_many_word_alternations_deterministically():
     by_first = [A.regex_to_fsa("|".join(w for w in words if w[0] == c), AB) for c in "ab"]
     assert regular_is_coding(RegularPartition(x, by_first))
     assert ud_ambiguity_witness(code_rx("|".join(words + ["a" * 18]))) == AB.word("a" * 18)
+
+
+def test_pair_walk_and_partition_build_each_view_once(monkeypatch):
+    # on long-word codes the pair walk reads each class's subset
+    # construction as it is, with no acceptor built and no second view;
+    # a partition's cover check reads the class views it already built
+    # side by side, against the code's view
+    word = "a" + "".join(random.Random(400).choice("ad") for _ in range(399))
+    codes = [code_rx(f"b|ca|cb|cc|{word}", ABCD), code_rx(f"b|c|bc|{word}", ABCD)]
+    splits = [["b|ca|cb|cc", word], ["b", f"c|bc|{word}"], ["b", "ca", "cb|cc", word]]
+    counts = collections.Counter()
+
+    def count(owner, name, key):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(A.Fsa, "__init__", "Fsa")
+    count(A, "union", "union")
+    count(A._View, "__init__", "view")
+    for code, split, ud in zip(codes + codes[:1], splits, (True, False, True)):
+        classes = [A.regex_to_fsa(c, ABCD) for c in split]
+        counts.clear()
+        p = RegularPartition(code, classes)
+        assert counts == {"view": len(classes) + 1}, counts
+        counts.clear()
+        assert (ud_ambiguity_witness(code) is None) == ud
+        assert (coding_ambiguity_witness(p) is None) == ud
+        assert counts == {"view": 1 + len(classes)}, counts  # one per subset construction
 
 
 # ---------------------------------------------------------------------------
